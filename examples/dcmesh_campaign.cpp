@@ -18,7 +18,7 @@
 //   --timeout <sec>   per-run wall budget          (default: deck, else 300)
 //   --wisdom <path>   shared wisdom store          (default <out>/wisdom.jsonl)
 //   --preset <name>   base config preset           (overrides the deck's)
-//   --set KEY=v1,v2   add a sweep axis (deck key or DCMESH_*/MKL_* env)
+//   --set KEY=v1,v2   add a sweep axis (deck key or environment knob)
 //   --no-scout        skip the cold-store scout run
 //   --dry-run         print the run matrix and exit
 //

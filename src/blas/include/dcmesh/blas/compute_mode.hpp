@@ -66,8 +66,9 @@ compute_mode_registry() noexcept;
 ///     *process-wide*: every thread sees it),
 ///  3. the MKL_BLAS_COMPUTE_MODE environment variable (process-wide),
 ///  4. compute_mode::standard.
-/// The environment variable is re-read on every query so tests/examples can
-/// flip it at run time, as the paper's artifact instructions do.
+/// The environment variable is a cached knob (knobs.hpp): tests/examples
+/// flip it at run time with env_set, as the paper's artifact instructions
+/// do; a malformed value warns once and reads as unset.
 ///
 /// Note: tagged calls resolve through resolve_compute_mode() in
 /// precision_policy.hpp, which inserts per-site policies between layers

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "dcmesh/blas/compute_mode.hpp"
+#include "dcmesh/common/env.hpp"
 #include "dcmesh/resil/abft.hpp"
 
 namespace dcmesh::blas {
@@ -96,10 +97,8 @@ struct precision_policy {
   [[nodiscard]] bool empty() const noexcept { return rules.empty(); }
 };
 
-/// Glob matcher used by policy rules: '*' matches any sequence (including
-/// '/'), '?' matches exactly one character, everything else literally.
-[[nodiscard]] bool glob_match(std::string_view pattern,
-                              std::string_view text) noexcept;
+/// Glob matcher used by policy rules (see dcmesh::glob_match).
+using dcmesh::glob_match;
 
 /// Parse policy text per the grammar above.  Throws std::invalid_argument
 /// naming the offending rule on malformed input (missing '=', unknown mode
@@ -114,8 +113,8 @@ void set_policy(precision_policy policy);
 void clear_policy();
 
 /// The currently effective policy: the programmatic one if installed, else
-/// the parsed DCMESH_BLAS_POLICY environment variable (re-read on every
-/// query; a malformed env policy is ignored after a one-time warning).
+/// the parsed DCMESH_BLAS_POLICY environment variable (a cached knob; a
+/// malformed env policy is ignored after a one-time warning).
 [[nodiscard]] precision_policy active_policy();
 
 /// Outcome of resolving one call's compute mode.

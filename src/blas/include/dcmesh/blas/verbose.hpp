@@ -13,7 +13,9 @@
 // accuracy-guard verdict.  The text line keeps the MKL_VERBOSE-compatible
 // prefix unchanged (extra fields are appended after it), and a
 // machine-readable JSONL sink mirrors every record to the file named by
-// MKL_VERBOSE_JSON, one JSON object per line.
+// MKL_VERBOSE_JSON, one JSON object per line.  Before its first printed
+// record a process prints one DCMESH_CONFIG line: every knob set in its
+// environment, so a run's stderr records the configuration it ran with.
 
 #include <cstdint>
 #include <string>
@@ -23,6 +25,7 @@
 #include "dcmesh/blas/autotune_hook.hpp"
 #include "dcmesh/blas/compute_mode.hpp"
 #include "dcmesh/blas/precision_policy.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 namespace dcmesh::blas {
 
@@ -114,8 +117,19 @@ struct call_record {
 [[nodiscard]] bool verbose_enabled();
 
 /// Append a record to the in-process log (always) and print it when
-/// verbose_enabled().  Thread-safe.
+/// verbose_enabled(), the process's first printed record preceded by
+/// config_line().  Thread-safe.
 void record_call(call_record record);
+
+/// Canonical text of `text` as a value of knob `k`, nullopt when malformed:
+/// render_knob_value, plus the policy, fault-plan and sched grammars.
+/// DCMESH_FARM_KILL (the farm's grammar, above this layer) renders as is.
+[[nodiscard]] std::optional<std::string> render_knob(knob k,
+                                                     std::string_view text);
+
+/// "DCMESH_CONFIG NAME=value ...": every knob set in the environment,
+/// rendered by render_knob, or NAME=malformed->DEFAULT when rejected.
+[[nodiscard]] std::string config_line();
 
 /// Snapshot of the most recent calls, oldest first (bounded history).
 [[nodiscard]] std::vector<call_record> recent_calls();

@@ -3,6 +3,7 @@
 #include <mutex>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 namespace dcmesh::blas {
 namespace {
@@ -59,10 +60,7 @@ std::optional<compute_mode> api_mode_override() {
 }
 
 std::optional<compute_mode> env_mode_override() {
-  if (const auto env = env_get(kComputeModeEnvVar)) {
-    if (const auto parsed = parse_compute_mode(*env)) return parsed;
-  }
-  return std::nullopt;
+  return knob_value(knob::compute_mode, parse_compute_mode);
 }
 
 compute_mode active_compute_mode() {

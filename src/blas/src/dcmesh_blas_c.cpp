@@ -74,9 +74,25 @@ std::size_t elem_bytes(char type) {
   return 0;
 }
 
-/// Parse a compute-mode token; nullopt_t result reported by the caller.
-std::optional<compute_mode> parse_mode_token(const char* token) {
-  return blas::parse_compute_mode(token);
+/// A mode argument: null or empty = no override; unknown = BAD_MODE.
+int parse_mode_arg(const char* mode, std::optional<compute_mode>& out) {
+  out.reset();
+  if (mode == nullptr || *mode == '\0') return DCMESH_OK;
+  out = blas::parse_compute_mode(mode);
+  if (out) return DCMESH_OK;
+  return fail(DCMESH_ERR_BAD_MODE,
+              std::string("unknown compute mode \"") + mode + "\"");
+}
+
+/// `run.template operator()<T>()` for the element type letter `type`.
+template <typename Run>
+int with_type(char type, Run&& run) {
+  switch (type) {
+    case 's': return run.template operator()<float>();
+    case 'd': return run.template operator()<double>();
+    case 'c': return run.template operator()<std::complex<float>>();
+    default: return run.template operator()<std::complex<double>>();
+  }
 }
 
 /// The shared engine entry: fill one gemm_call<T> (applying the row-major
@@ -164,6 +180,38 @@ int run_batch(dcmesh_layout layout, transpose ta, transpose tb, int64_t m,
   return DCMESH_OK;
 }
 
+/// Arguments of dcmesh_gemm / dcmesh_gemm_batch_strided after validation.
+struct gemm_args {
+  transpose ta = transpose::none;
+  transpose tb = transpose::none;
+  std::optional<compute_mode> mode;
+  std::string_view site;
+};
+
+int check_gemm_args(char type, dcmesh_layout layout, char transa,
+                    char transb, const void* alpha, const void* beta,
+                    const char* site, const char* mode, gemm_args& out) {
+  if (!valid_type(type)) {
+    return fail(DCMESH_ERR_BAD_TYPE,
+                std::string("unknown element type '") + type + "'");
+  }
+  if (!valid_layout(layout)) {
+    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad layout enum");
+  }
+  const auto ta = parse_trans(transa);
+  const auto tb = parse_trans(transb);
+  if (!ta || !tb) {
+    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad transpose char");
+  }
+  if (alpha == nullptr || beta == nullptr) {
+    return fail(DCMESH_ERR_INVALID_ARGUMENT, "alpha/beta must not be null");
+  }
+  out.ta = *ta;
+  out.tb = *tb;
+  out.site = site == nullptr ? "" : site;
+  return parse_mode_arg(mode, out.mode);
+}
+
 /// Copy-out contract shared by the introspection calls: NUL-terminate
 /// whatever fits, return the full untruncated length.
 int copy_out(std::string_view s, char* buf, size_t cap) {
@@ -193,46 +241,16 @@ int dcmesh_gemm(char type, dcmesh_layout layout, char transa, char transb,
                 const void* a, int64_t lda, const void* b, int64_t ldb,
                 const void* beta, void* c, int64_t ldc, const char* site,
                 const char* mode) {
-  if (!valid_type(type)) {
-    return fail(DCMESH_ERR_BAD_TYPE,
-                std::string("unknown element type '") + type + "'");
+  gemm_args args;
+  if (const int status = check_gemm_args(type, layout, transa, transb, alpha,
+                                         beta, site, mode, args);
+      status != DCMESH_OK) {
+    return status;
   }
-  if (!valid_layout(layout)) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad layout enum");
-  }
-  const auto ta = parse_trans(transa);
-  const auto tb = parse_trans(transb);
-  if (!ta || !tb) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad transpose char");
-  }
-  if (alpha == nullptr || beta == nullptr) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "alpha/beta must not be null");
-  }
-  std::optional<compute_mode> mode_value;
-  if (mode != nullptr && *mode != '\0') {
-    mode_value = parse_mode_token(mode);
-    if (!mode_value) {
-      return fail(DCMESH_ERR_BAD_MODE,
-                  std::string("unknown compute mode \"") + mode + "\"");
-    }
-  }
-  const std::string_view site_view = site == nullptr ? "" : site;
-  switch (type) {
-    case 's':
-      return run_one<float>(layout, *ta, *tb, m, n, k, alpha, a, lda, b,
-                            ldb, beta, c, ldc, site_view, mode_value);
-    case 'd':
-      return run_one<double>(layout, *ta, *tb, m, n, k, alpha, a, lda, b,
-                             ldb, beta, c, ldc, site_view, mode_value);
-    case 'c':
-      return run_one<std::complex<float>>(layout, *ta, *tb, m, n, k, alpha,
-                                          a, lda, b, ldb, beta, c, ldc,
-                                          site_view, mode_value);
-    default:
-      return run_one<std::complex<double>>(layout, *ta, *tb, m, n, k, alpha,
-                                           a, lda, b, ldb, beta, c, ldc,
-                                           site_view, mode_value);
-  }
+  return with_type(type, [&]<typename T>() {
+    return run_one<T>(layout, args.ta, args.tb, m, n, k, alpha, a, lda, b,
+                      ldb, beta, c, ldc, args.site, args.mode);
+  });
 }
 
 int dcmesh_gemm_batch_strided(char type, dcmesh_layout layout, char transa,
@@ -242,48 +260,17 @@ int dcmesh_gemm_batch_strided(char type, dcmesh_layout layout, char transa,
                               int64_t stride_b, const void* beta, void* c,
                               int64_t ldc, int64_t stride_c, int64_t batch,
                               const char* site, const char* mode) {
-  if (!valid_type(type)) {
-    return fail(DCMESH_ERR_BAD_TYPE,
-                std::string("unknown element type '") + type + "'");
+  gemm_args args;
+  if (const int status = check_gemm_args(type, layout, transa, transb, alpha,
+                                         beta, site, mode, args);
+      status != DCMESH_OK) {
+    return status;
   }
-  if (!valid_layout(layout)) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad layout enum");
-  }
-  const auto ta = parse_trans(transa);
-  const auto tb = parse_trans(transb);
-  if (!ta || !tb) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "bad transpose char");
-  }
-  if (alpha == nullptr || beta == nullptr) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "alpha/beta must not be null");
-  }
-  std::optional<compute_mode> mode_value;
-  if (mode != nullptr && *mode != '\0') {
-    mode_value = parse_mode_token(mode);
-    if (!mode_value) {
-      return fail(DCMESH_ERR_BAD_MODE,
-                  std::string("unknown compute mode \"") + mode + "\"");
-    }
-  }
-  const std::string_view site_view = site == nullptr ? "" : site;
-  switch (type) {
-    case 's':
-      return run_batch<float>(layout, *ta, *tb, m, n, k, alpha, a, lda,
-                              stride_a, b, ldb, stride_b, beta, c, ldc,
-                              stride_c, batch, site_view, mode_value);
-    case 'd':
-      return run_batch<double>(layout, *ta, *tb, m, n, k, alpha, a, lda,
-                               stride_a, b, ldb, stride_b, beta, c, ldc,
-                               stride_c, batch, site_view, mode_value);
-    case 'c':
-      return run_batch<std::complex<float>>(
-          layout, *ta, *tb, m, n, k, alpha, a, lda, stride_a, b, ldb,
-          stride_b, beta, c, ldc, stride_c, batch, site_view, mode_value);
-    default:
-      return run_batch<std::complex<double>>(
-          layout, *ta, *tb, m, n, k, alpha, a, lda, stride_a, b, ldb,
-          stride_b, beta, c, ldc, stride_c, batch, site_view, mode_value);
-  }
+  return with_type(type, [&]<typename T>() {
+    return run_batch<T>(layout, args.ta, args.tb, m, n, k, alpha, a, lda,
+                        stride_a, b, ldb, stride_b, beta, c, ldc, stride_c,
+                        batch, args.site, args.mode);
+  });
 }
 
 // ----------------------------------------------------------- descriptor
@@ -421,17 +408,10 @@ int dcmesh_gemm_desc_set_mode(dcmesh_gemm_desc* desc, const char* mode) {
   if (desc == nullptr) {
     return fail(DCMESH_ERR_INVALID_ARGUMENT, "null descriptor");
   }
-  if (mode == nullptr || *mode == '\0') {
-    desc->mode = std::nullopt;
-    return DCMESH_OK;
-  }
-  const auto parsed = parse_mode_token(mode);
-  if (!parsed) {
-    return fail(DCMESH_ERR_BAD_MODE,
-                std::string("unknown compute mode \"") + mode + "\"");
-  }
-  desc->mode = parsed;
-  return DCMESH_OK;
+  std::optional<compute_mode> parsed;
+  const int status = parse_mode_arg(mode, parsed);
+  if (status == DCMESH_OK) desc->mode = parsed;
+  return status;
 }
 
 int dcmesh_gemm_execute(const dcmesh_gemm_desc* desc) {
@@ -444,28 +424,11 @@ int dcmesh_gemm_execute(const dcmesh_gemm_desc* desc) {
   }
   const auto ta = *parse_trans(desc->transa);
   const auto tb = *parse_trans(desc->transb);
-  switch (desc->type) {
-    case 's':
-      return run_one<float>(desc->layout, ta, tb, desc->m, desc->n, desc->k,
-                            desc->alpha, desc->a, desc->lda, desc->b,
-                            desc->ldb, desc->beta, desc->c, desc->ldc,
-                            desc->site, desc->mode);
-    case 'd':
-      return run_one<double>(desc->layout, ta, tb, desc->m, desc->n,
-                             desc->k, desc->alpha, desc->a, desc->lda,
-                             desc->b, desc->ldb, desc->beta, desc->c,
-                             desc->ldc, desc->site, desc->mode);
-    case 'c':
-      return run_one<std::complex<float>>(
-          desc->layout, ta, tb, desc->m, desc->n, desc->k, desc->alpha,
-          desc->a, desc->lda, desc->b, desc->ldb, desc->beta, desc->c,
-          desc->ldc, desc->site, desc->mode);
-    default:
-      return run_one<std::complex<double>>(
-          desc->layout, ta, tb, desc->m, desc->n, desc->k, desc->alpha,
-          desc->a, desc->lda, desc->b, desc->ldb, desc->beta, desc->c,
-          desc->ldc, desc->site, desc->mode);
-  }
+  return with_type(desc->type, [&]<typename T>() {
+    return run_one<T>(desc->layout, ta, tb, desc->m, desc->n, desc->k,
+                      desc->alpha, desc->a, desc->lda, desc->b, desc->ldb,
+                      desc->beta, desc->c, desc->ldc, desc->site, desc->mode);
+  });
 }
 
 // ------------------------------------------------- process-wide control
@@ -484,16 +447,14 @@ int dcmesh_set_policy(const char* policy_text) {
 }
 
 int dcmesh_set_compute_mode(const char* mode) {
-  if (mode == nullptr || *mode == '\0') {
+  std::optional<compute_mode> parsed;
+  const int status = parse_mode_arg(mode, parsed);
+  if (status != DCMESH_OK) return status;
+  if (parsed) {
+    blas::set_compute_mode(*parsed);
+  } else {
     blas::clear_compute_mode();
-    return DCMESH_OK;
   }
-  const auto parsed = parse_mode_token(mode);
-  if (!parsed) {
-    return fail(DCMESH_ERR_BAD_MODE,
-                std::string("unknown compute mode \"") + mode + "\"");
-  }
-  blas::set_compute_mode(*parsed);
   return DCMESH_OK;
 }
 

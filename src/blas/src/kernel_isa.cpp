@@ -1,29 +1,19 @@
 #include "kernel_isa.hpp"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <string>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "microkernel.hpp"
 
 namespace dcmesh::blas::detail {
 namespace {
 
-// Cached resolution: -1 = unresolved, otherwise a kernel_isa value.
-std::atomic<int> g_resolved{-1};
-// In-process override: -1 = none.
+// In-process overrides: -1 = none, else a kernel_isa / 0 off / 1 on.
 std::atomic<int> g_override{-1};
-// Native BF16 engine: env resolution (-1 unresolved, 0 off, 1 on) and
-// in-process override (-1 none).
-std::atomic<int> g_bf16_env{-1};
 std::atomic<int> g_bf16_override{-1};
-
-void warn_once(const char* format, const char* arg) {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) std::fprintf(stderr, format, arg);
-}
 
 [[nodiscard]] bool cpu_has_avx2_fma() noexcept {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
@@ -52,17 +42,6 @@ void warn_once(const char* format, const char* arg) {
 #endif
 }
 
-[[nodiscard]] std::string lowercase_env(std::string_view var) {
-  const std::string raw = env_get(var).value_or("");
-  std::string token;
-  token.reserve(raw.size());
-  for (const char ch : raw) {
-    token.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
-  }
-  return token;
-}
-
 /// Best tier the build/CPU can honour, starting from `want` and walking
 /// down the ladder.  Never warns — callers decide whether the downgrade
 /// deserves one.
@@ -76,28 +55,8 @@ void warn_once(const char* format, const char* arg) {
   return want;
 }
 
-[[nodiscard]] kernel_isa resolve_from_env() noexcept {
-  const std::string raw = env_get(kKernelIsaEnvVar).value_or("auto");
-  const std::string token = lowercase_env(kKernelIsaEnvVar);
-  if (token == "scalar") return kernel_isa::scalar;
-  if (token == "avx2" || token == "avx512") {
-    const kernel_isa want =
-        token == "avx512" ? kernel_isa::avx512 : kernel_isa::avx2;
-    const kernel_isa got = clamp_to_available(want);
-    if (got != want) {
-      warn_once(
-          "dcmesh: DCMESH_KERNEL_ISA=%s requested but this build/CPU "
-          "cannot honour it; falling back down the tier ladder\n",
-          raw.c_str());
-    }
-    return got;
-  }
-  if (token != "auto" && !token.empty()) {
-    warn_once(
-        "dcmesh: unrecognised DCMESH_KERNEL_ISA value \"%s\" (expected "
-        "auto|avx512|avx2|scalar); using auto\n",
-        raw.c_str());
-  }
+/// The tier `auto` picks on this build/CPU.
+[[nodiscard]] kernel_isa auto_tier() noexcept {
 #if defined(__AVX512F__)
   // The baseline build (e.g. -march=native on an AVX-512 host) already
   // vectorises the scalar template at ZMM width, where it inlines into
@@ -119,24 +78,33 @@ void warn_once(const char* format, const char* arg) {
 #endif
 }
 
-/// DCMESH_BF16_NATIVE: default (auto) is ON wherever the avx512 tier +
-/// silicon can honour it; only an explicit off token vetoes.
-[[nodiscard]] int resolve_bf16_env() noexcept {
-  const std::string token = lowercase_env(kBf16NativeEnvVar);
-  if (token == "0" || token == "off" || token == "false" || token == "no") {
-    return 0;
+/// DCMESH_KERNEL_ISA grammar: the tier to dispatch to.  A tier the
+/// build/CPU cannot honour falls down the ladder, warning once per parse.
+std::optional<kernel_isa> parse_isa(std::string_view text) {
+  const auto token = parse_token(row(knob::kernel_isa).grammar, text);
+  if (!token) return std::nullopt;
+  if (*token == 0) return auto_tier();
+  const kernel_isa want = *token == 1   ? kernel_isa::avx512
+                          : *token == 2 ? kernel_isa::avx2
+                                        : kernel_isa::scalar;
+  const kernel_isa got = clamp_to_available(want);
+  if (got != want) {
+    std::fprintf(stderr,
+                 "dcmesh: DCMESH_KERNEL_ISA=%s requested but this build/CPU "
+                 "cannot honour it; falling back down the tier ladder\n",
+                 std::string(text).c_str());
   }
-  if (!token.empty() && token != "1" && token != "on" && token != "true" &&
-      token != "yes" && token != "auto") {
-    warn_once(
-        "dcmesh: unrecognised DCMESH_BF16_NATIVE value \"%s\" (expected "
-        "auto|0|1); using auto\n",
-        token.c_str());
-  }
-  return 1;
+  return got;
 }
 
 }  // namespace
+
+/// DCMESH_BF16_NATIVE grammar: auto (on wherever the avx512 tier and
+/// silicon can honour it) or a switch; only an off token vetoes.
+std::optional<bool> parse_bf16_native(std::string_view text) {
+  if (to_lower(text) == "auto") return true;
+  return parse_switch(text);
+}
 
 bool avx2_kernels_available() noexcept {
 #if defined(DCMESH_HAVE_AVX2_KERNELS)
@@ -168,27 +136,22 @@ bool avx512bf16_kernels_available() noexcept {
 kernel_isa active_kernel_isa() noexcept {
   const int forced = g_override.load(std::memory_order_acquire);
   if (forced >= 0) return static_cast<kernel_isa>(forced);
-  int cached = g_resolved.load(std::memory_order_acquire);
-  if (cached < 0) {
-    cached = static_cast<int>(resolve_from_env());
-    g_resolved.store(cached, std::memory_order_release);
-  }
-  return static_cast<kernel_isa>(cached);
+  const auto& isa = knob_value(knob::kernel_isa, parse_isa);
+  return isa ? *isa : auto_tier();
 }
 
 void set_kernel_isa(std::optional<kernel_isa> isa) noexcept {
   if (!isa.has_value()) {
     g_override.store(-1, std::memory_order_release);
-    g_resolved.store(-1, std::memory_order_release);  // re-read the env
     return;
   }
-  const kernel_isa want = *isa;
-  const kernel_isa got = clamp_to_available(want);
-  if (got != want) {
-    warn_once(
-        "dcmesh: set_kernel_isa(%s) on a build/CPU that cannot honour "
-        "it; falling back down the tier ladder\n",
-        kernel_isa_name(want).data());
+  const kernel_isa got = clamp_to_available(*isa);
+  static std::atomic<bool> warned{false};
+  if (got != *isa && !warned.exchange(true)) {
+    std::fprintf(stderr,
+                 "dcmesh: set_kernel_isa(%s) on a build/CPU that cannot "
+                 "honour it; falling back down the tier ladder\n",
+                 kernel_isa_name(*isa).data());
   }
   g_override.store(static_cast<int>(got), std::memory_order_release);
 }
@@ -198,25 +161,20 @@ bool bf16_native_active() noexcept {
   if (!avx512bf16_kernels_available()) return false;
   const int forced = g_bf16_override.load(std::memory_order_acquire);
   if (forced >= 0) return forced != 0;
-  int cached = g_bf16_env.load(std::memory_order_acquire);
-  if (cached < 0) {
-    cached = resolve_bf16_env();
-    g_bf16_env.store(cached, std::memory_order_release);
-  }
-  return cached != 0;
+  return knob_value(knob::bf16_native, parse_bf16_native).value_or(true);
 }
 
 void set_bf16_native(std::optional<bool> enabled) noexcept {
   if (!enabled.has_value()) {
     g_bf16_override.store(-1, std::memory_order_release);
-    g_bf16_env.store(-1, std::memory_order_release);  // re-read the env
     return;
   }
-  if (*enabled && !avx512bf16_kernels_available()) {
-    warn_once(
-        "dcmesh: set_bf16_native(true) on a build/CPU without "
-        "AVX512-BF16%s; the software split engine stays active\n",
-        "");
+  static std::atomic<bool> warned{false};
+  if (*enabled && !avx512bf16_kernels_available() &&
+      !warned.exchange(true)) {
+    std::fprintf(stderr,
+                 "dcmesh: set_bf16_native(true) on a build/CPU without "
+                 "AVX512-BF16; the software split engine stays active\n");
   }
   g_bf16_override.store(*enabled ? 1 : 0, std::memory_order_release);
 }

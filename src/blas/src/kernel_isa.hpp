@@ -39,8 +39,8 @@ namespace dcmesh::blas::detail {
 /// (Complex tiles always use the scalar template.)
 enum class kernel_isa { scalar = 0, avx2 = 1, avx512 = 2 };
 
-inline constexpr std::string_view kKernelIsaEnvVar = "DCMESH_KERNEL_ISA";
-inline constexpr std::string_view kBf16NativeEnvVar = "DCMESH_BF16_NATIVE";
+/// DCMESH_BF16_NATIVE grammar: auto or a switch; only off vetoes.
+[[nodiscard]] std::optional<bool> parse_bf16_native(std::string_view text);
 
 /// True when the binary carries the AVX2+FMA kernels AND the CPU supports
 /// them at runtime.
@@ -55,11 +55,11 @@ inline constexpr std::string_view kBf16NativeEnvVar = "DCMESH_BF16_NATIVE";
 [[nodiscard]] bool avx512bf16_kernels_available() noexcept;
 
 /// The ISA the next GEMM call will dispatch to (override > env > auto).
-/// Resolved once and cached; thread-safe.
+/// The env tier is a cached knob; thread-safe.
 [[nodiscard]] kernel_isa active_kernel_isa() noexcept;
 
 /// Force an ISA in-process (testing/benching); nullopt drops the override
-/// and re-resolves from DCMESH_KERNEL_ISA / CPU detection.  Requesting a
+/// and hands control back to DCMESH_KERNEL_ISA / CPU detection.  Requesting a
 /// tier the build/CPU lacks resolves down the ladder (avx512 -> avx2 ->
 /// scalar) with a one-time warning.
 void set_kernel_isa(std::optional<kernel_isa> isa) noexcept;

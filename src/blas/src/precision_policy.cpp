@@ -1,24 +1,20 @@
 #include "dcmesh/blas/precision_policy.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 namespace dcmesh::blas {
 namespace {
 
-// Programmatic policy (shared across threads, like set_compute_mode), the
-// parsed-env cache, and the per-site guard statistics.
+// Programmatic policy (shared across threads, like set_compute_mode) and
+// the per-site guard statistics.
 std::mutex g_policy_mutex;
 std::shared_ptr<const precision_policy> g_api_policy;  // guarded
-std::string g_env_cache_text;                          // guarded
-std::shared_ptr<const precision_policy> g_env_cache;   // guarded
-bool g_env_warned = false;                             // guarded
 
 std::mutex g_stats_mutex;
 std::map<std::string, site_fallback_stats, std::less<>> g_stats;  // guarded
@@ -72,13 +68,9 @@ policy_rule parse_rule(std::string_view rule_text) {
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const std::string flag = to_upper(parts[i]);
     const auto positive_value = [&](std::size_t prefix_len) {
-      const std::string value = flag.substr(prefix_len);
-      char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || !(parsed > 0.0)) {
-        fail("unparsable value \"" + std::string(parts[i]) + "\"");
-      }
-      return parsed;
+      const auto value = parse_positive_real(flag.substr(prefix_len));
+      if (!value) fail("unparsable value \"" + std::string(parts[i]) + "\"");
+      return *value;
     };
     if (flag == "GUARDED") {
       rule.guarded = true;
@@ -101,42 +93,30 @@ policy_rule parse_rule(std::string_view rule_text) {
   return rule;
 }
 
-/// Parsed DCMESH_BLAS_POLICY, cached on the raw env text.  Malformed env
-/// policies warn once to stderr and behave as empty (the env path must not
-/// throw on every BLAS call).
-std::shared_ptr<const precision_policy> env_policy_locked() {
-  const auto env = env_get(kPolicyEnvVar);
-  const std::string text = env.value_or("");
-  if (text == g_env_cache_text && g_env_cache) return g_env_cache;
-  g_env_cache_text = text;
-  g_env_warned = false;
+/// DCMESH_BLAS_POLICY grammar: a malformed env policy reads as unset
+/// (the env path must not throw on every BLAS call).
+std::optional<precision_policy> parse_env_policy(std::string_view text) {
   try {
-    g_env_cache =
-        std::make_shared<const precision_policy>(parse_policy(text));
-  } catch (const std::invalid_argument& error) {
-    if (!g_env_warned) {
-      std::fprintf(stderr, "dcmesh: ignoring malformed %s: %s\n",
-                   std::string(kPolicyEnvVar).c_str(), error.what());
-      g_env_warned = true;
-    }
-    g_env_cache = std::make_shared<const precision_policy>();
+    return parse_policy(text);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
-  return g_env_cache;
 }
 
 std::shared_ptr<const precision_policy> current_policy() {
-  std::lock_guard lock(g_policy_mutex);
-  if (g_api_policy) return g_api_policy;
-  return env_policy_locked();
+  {
+    std::lock_guard lock(g_policy_mutex);
+    if (g_api_policy) return g_api_policy;
+  }
+  static const precision_policy kNoRules;
+  const auto& env = knob_value(knob::blas_policy, parse_env_policy);
+  // Knob entries are never freed, so a non-owning pointer is safe.
+  return {std::shared_ptr<void>(), env ? &*env : &kNoRules};
 }
 
 double default_guard_tolerance() {
-  if (const auto env = env_get(kGuardThresholdEnvVar)) {
-    char* end = nullptr;
-    const double tol = std::strtod(env->c_str(), &end);
-    if (end != env->c_str() && *end == '\0' && tol > 0.0) return tol;
-  }
-  return kDefaultGuardThreshold;
+  return knob_value(knob::guard_threshold, parse_positive_real)
+      .value_or(kDefaultGuardThreshold);
 }
 
 }  // namespace
@@ -151,30 +131,6 @@ std::string_view name(policy_source source) noexcept {
     case policy_source::call_override: return "call_override";
   }
   return "standard_default";
-}
-
-bool glob_match(std::string_view pattern, std::string_view text) noexcept {
-  // Iterative matcher with single-star backtracking (classic fnmatch
-  // shape); '*' crosses '/' deliberately — sites are flat tags.
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string_view::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == text[t] || pattern[p] == '?')) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      star_t = t;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
 }
 
 const policy_rule* precision_policy::match(

@@ -6,10 +6,13 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 
 #include "dcmesh/blas/blas.hpp"
-#include "dcmesh/common/env.hpp"
+#include "dcmesh/resil/fault_plan.hpp"
+#include "dcmesh/sched/config.hpp"
 #include "dcmesh/trace/metrics.hpp"
+#include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::blas {
 namespace {
@@ -40,29 +43,10 @@ std::string g_json_path;                  // guarded by g_json_mutex
 std::ofstream g_json_stream;              // guarded by g_json_mutex
 bool g_json_warned = false;               // guarded by g_json_mutex
 
-/// Minimal JSON string escaping (sites/routines are plain tags, but be
-/// safe about quotes, backslashes, and control bytes).
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out += buffer;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
+using trace::append_json_escaped;
 
 void write_json_line(const call_record& record) {
-  const auto path = env_get(kVerboseJsonEnvVar);
+  const auto& path = knob_value(knob::verbose_json, parse_path);
   if (!path) return;
   std::lock_guard lock(g_json_mutex);
   if (*path != g_json_path) {
@@ -218,10 +202,52 @@ std::string call_record::to_json() const {
   return out;
 }
 
-bool verbose_enabled() { return env_get_int(kVerboseEnvVar, 0) >= 1; }
+bool verbose_enabled() {
+  return knob_value(knob::verbose, parse_integer).value_or(0) >= 1;
+}
+
+std::optional<std::string> render_knob(knob k, std::string_view text) {
+  const auto accepted = [text](auto parse) -> std::optional<std::string> {
+    try {
+      (void)parse(text);
+      return std::string(text);
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  };
+  bool ok = false;
+  switch (k) {
+    case knob::blas_policy: return accepted(parse_policy);
+    case knob::fault_plan: return accepted(resil::parse_fault_plan);
+    case knob::sched:
+      (void)sched::parse_sched(text, &ok);
+      return ok ? std::optional<std::string>(text) : std::nullopt;
+    case knob::farm_kill: return std::string(text);
+    default: return render_knob_value(k, text);
+  }
+}
+
+std::string config_line() {
+  std::string line = "DCMESH_CONFIG";
+  for (std::size_t i = 0; i < kKnobCount; ++i) {
+    const knob k = static_cast<knob>(i);
+    const std::string text = knob_text(k);
+    if (text.empty()) continue;
+    const auto value = render_knob(k, text);
+    line += ' ';
+    line += row(k).name;
+    line += '=';
+    line += value ? *value : "malformed->" + std::string(row(k).fallback);
+  }
+  return line;
+}
 
 void record_call(call_record record) {
   if (verbose_enabled()) {
+    static std::once_flag config_once;
+    std::call_once(config_once, [] {
+      std::fprintf(stderr, "%s\n", config_line().c_str());
+    });
     std::fprintf(stderr, "%s\n", record.to_string().c_str());
   }
   write_json_line(record);

@@ -3,8 +3,9 @@
 //
 // The whole point of the paper's methodology is that precision modes are
 // switched with *no source changes*, only environment variables
-// (MKL_BLAS_COMPUTE_MODE, MKL_VERBOSE, KMP_BLOCKTIME).  These helpers give
-// the library a single, testable seam for reading and normalising them.
+// (MKL_BLAS_COMPUTE_MODE, MKL_VERBOSE).  These helpers write the
+// environment and normalise its text; knobs.hpp is the one place that
+// reads the engine's knobs.
 
 #include <optional>
 #include <string>
@@ -12,17 +13,16 @@
 
 namespace dcmesh {
 
-/// Read an environment variable; nullopt when unset or empty.
+/// Read an environment variable, uncached; nullopt when unset or empty.
+/// The engine's own knobs are read through knob_value() (knobs.hpp).
 [[nodiscard]] std::optional<std::string> env_get(std::string_view name);
 
-/// Read an integer environment variable; `fallback` when unset/unparsable.
-[[nodiscard]] long env_get_int(std::string_view name, long fallback);
-
-/// Set (or overwrite) an environment variable in this process.  Used by
-/// tests and examples to exercise the env-var control path.
+/// Set (or overwrite) an environment variable in this process; a knob's
+/// next read sees the new value.
 void env_set(std::string_view name, std::string_view value);
 
-/// Remove an environment variable from this process.
+/// Remove an environment variable from this process; a knob's next read
+/// sees its default.
 void env_unset(std::string_view name);
 
 /// ASCII upper-case copy (env values are matched case-insensitively, as
@@ -32,6 +32,11 @@ void env_unset(std::string_view name);
 /// ASCII lower-case copy (deck keys are case-insensitive; the canonical
 /// spelling is lower).
 [[nodiscard]] std::string to_lower(std::string_view s);
+
+/// Glob match over call-site tags: '*' matches any sequence (including
+/// '/'), '?' exactly one character, everything else literally.
+[[nodiscard]] bool glob_match(std::string_view pattern,
+                              std::string_view text) noexcept;
 
 /// Trim ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s);

@@ -9,8 +9,19 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace dcmesh {
+
+/// FNV-1a 64-bit hash (payload checksums and seed derivation).
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// xoshiro256++ 1.0 by Blackman & Vigna (public domain algorithm),
 /// reimplemented here.  Satisfies UniformRandomBitGenerator.

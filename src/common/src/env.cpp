@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "dcmesh/common/knobs.hpp"
+
 namespace dcmesh {
 
 std::optional<std::string> env_get(std::string_view name) {
@@ -12,21 +14,14 @@ std::optional<std::string> env_get(std::string_view name) {
   return std::string(value);
 }
 
-long env_get_int(std::string_view name, long fallback) {
-  const auto value = env_get(name);
-  if (!value) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str()) return fallback;
-  return parsed;
-}
-
 void env_set(std::string_view name, std::string_view value) {
   ::setenv(std::string(name).c_str(), std::string(value).c_str(), 1);
+  knob_changed(name);
 }
 
 void env_unset(std::string_view name) {
   ::unsetenv(std::string(name).c_str());
+  knob_changed(name);
 }
 
 std::string to_upper(std::string_view s) {
@@ -43,6 +38,30 @@ std::string to_lower(std::string_view s) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
+}
+
+bool glob_match(std::string_view pattern, std::string_view text) noexcept {
+  // Iterative matcher with single-star backtracking (classic fnmatch
+  // shape); '*' crosses '/' deliberately — sites are flat tags.
+  std::size_t p = 0, t = 0;
+  std::size_t star = std::string_view::npos, star_t = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() &&
+        (pattern[p] == text[t] || pattern[p] == '?')) {
+      ++p;
+      ++t;
+    } else if (p < pattern.size() && pattern[p] == '*') {
+      star = p++;
+      star_t = t;
+    } else if (star != std::string_view::npos) {
+      p = star + 1;
+      t = ++star_t;
+    } else {
+      return false;
+    }
+  }
+  while (p < pattern.size() && pattern[p] == '*') ++p;
+  return p == pattern.size();
 }
 
 std::string_view trim(std::string_view s) {

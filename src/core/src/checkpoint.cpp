@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "dcmesh/common/atomic_file.hpp"
+#include "dcmesh/common/rng.hpp"
 #include "dcmesh/core/config.hpp"
 
 namespace dcmesh::core {
@@ -19,15 +20,6 @@ constexpr std::uint64_t kCheckpointMagic = 0x44434d4553484b50ull;  // DCMESHKP
 // poisoning a multi-day continuation run.
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;
-
-std::uint64_t fnv1a(std::string_view data) noexcept {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char ch : data) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {

@@ -39,15 +39,23 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcmesh/farm/sweep.hpp"
 
 namespace dcmesh::farm {
 
-/// Farm-level fault plan: kill the first matching run (see above).
-inline constexpr std::string_view kFarmKillEnvVar = "DCMESH_FARM_KILL";
+/// DCMESH_FARM_KILL, the farm-level fault plan (see above).
+struct kill_plan {
+  std::string glob;            ///< Matched against run ids and tags.
+  double after_seconds = 0.0;  ///< Alive this long before the SIGKILL.
+};
+
+/// DCMESH_FARM_KILL grammar, "<glob>[:<seconds>]"; nullopt when malformed.
+[[nodiscard]] std::optional<kill_plan> parse_kill_plan(std::string_view text);
 
 struct runner_options {
   std::string driver;        ///< Driver binary (dcehd-compatible).

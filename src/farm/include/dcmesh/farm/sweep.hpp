@@ -12,12 +12,14 @@
 //   MKL_BLAS_COMPUTE_MODE = STANDARD, FLOAT_TO_BF16X2
 //
 // expands to the 2x2x2 cartesian product: eight runs, each a complete
-// run deck plus a per-run environment.  UPPERCASE keys with a DCMESH_ /
-// MKL_ prefix sweep environment variables (compute mode, policy, fault
-// plan, sched mode — the knobs that are deliberately NOT deck keys, per
-// the paper's no-source-change property); every other key must be a
-// valid run-deck key and sweeps the deck.  Single-valued keys simply
-// pin that knob for every run.
+// run deck plus a per-run environment.  Keys named in the knob table
+// (knobs.hpp: compute mode, policy, fault plan, sched mode, thread
+// counts — the knobs that are deliberately NOT deck keys, per the
+// paper's no-source-change property) sweep environment variables, each
+// value checked against the knob's grammar at expansion; any other key
+// with a DCMESH_ / MKL_ / OMP_ prefix fails expansion as an unknown
+// knob; every other key must be a valid run-deck key and sweeps the
+// deck.  Single-valued keys simply pin that knob for every run.
 //
 // Expansion is deterministic (axis declaration order, first axis slowest)
 // and run ids are stable across invocations — the campaign manifest
@@ -68,9 +70,10 @@ struct campaign_run {
 /// std::runtime_error on malformed input.
 void add_axis(sweep_spec& spec, const std::string& assignment);
 
-/// Expand the cartesian product into the run matrix.  Every cell's deck
-/// is round-tripped through the run-deck parser, so an invalid
-/// combination fails here, before any process is spawned.
+/// Expand the cartesian product into the run matrix.  Every env axis is
+/// checked against the knob table and every cell's deck is round-tripped
+/// through the run-deck parser, so an invalid combination fails here,
+/// before any process is spawned.
 [[nodiscard]] std::vector<campaign_run> expand(const sweep_spec& spec);
 
 }  // namespace dcmesh::farm

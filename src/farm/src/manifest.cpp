@@ -6,50 +6,14 @@
 
 #include "dcmesh/common/atomic_file.hpp"
 #include "dcmesh/common/file_lock.hpp"
-#include "dcmesh/trace/tracer.hpp"  // append_json_escaped
+#include "dcmesh/common/rng.hpp"
+#include "dcmesh/trace/tracer.hpp"  // JSON line helpers
 
 namespace dcmesh::farm {
 namespace {
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::optional<std::string> json_string_field(std::string_view line,
-                                             std::string_view field) {
-  const std::string needle = "\"" + std::string(field) + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-    const char ch = line[i];
-    if (ch == '"') return out;
-    if (ch == '\\' && i + 1 < line.size()) {
-      const char next = line[++i];
-      out += (next == 'n') ? '\n' : (next == 't') ? '\t' : next;
-    } else {
-      out += ch;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> json_number_field(std::string_view line,
-                                        std::string_view field) {
-  const std::string needle = "\"" + std::string(field) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string rest(line.substr(pos + needle.size()));
-  char* end = nullptr;
-  const double value = std::strtod(rest.c_str(), &end);
-  if (end == rest.c_str()) return std::nullopt;
-  return value;
-}
+using trace::json_number_field;
+using trace::json_string_field;
 
 constexpr std::string_view kCrcMarker = ",\"crc\":\"";
 

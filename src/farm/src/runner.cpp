@@ -15,11 +15,12 @@
 #include <optional>
 #include <stdexcept>
 
-#include "dcmesh/blas/precision_policy.hpp"  // glob_match
 #include "dcmesh/blas/verbose.hpp"           // kVerboseJsonEnvVar
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/farm/manifest.hpp"
 #include "dcmesh/farm/report.hpp"
+#include "dcmesh/trace/tracer.hpp"    // json_string_field
 #include "dcmesh/tune/autotuner.hpp"  // kTuneCacheEnvVar, kCalibrationSite
 
 namespace dcmesh::farm {
@@ -40,48 +41,6 @@ void make_dir(const std::string& path) {
 bool file_exists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Value of `"field":"..."` on one JSONL line (fields the runner counts
-/// are plain tokens — no escapes to undo).
-std::optional<std::string> string_field(std::string_view line,
-                                        std::string_view field) {
-  const std::string needle = "\"" + std::string(field) + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(line.substr(start, end - start));
-}
-
-/// The farm-level fault plan, parsed from DCMESH_FARM_KILL.
-struct kill_plan {
-  std::string glob;
-  double after_seconds = 0.0;
-};
-
-std::optional<kill_plan> parse_kill_plan() {
-  const auto raw = env_get(kFarmKillEnvVar);
-  if (!raw) return std::nullopt;
-  const auto colon = raw->rfind(':');
-  kill_plan plan;
-  if (colon == std::string::npos) {
-    plan.glob = *raw;  // bare glob: kill as soon as it is seen alive
-  } else {
-    plan.glob = raw->substr(0, colon);
-    char* end = nullptr;
-    plan.after_seconds = std::strtod(raw->c_str() + colon + 1, &end);
-    if (end == raw->c_str() + colon + 1 || plan.after_seconds < 0) {
-      std::fprintf(stderr,
-                   "dcmesh-farm: ignoring malformed %s=\"%s\" "
-                   "(expected <glob>[:<seconds>])\n",
-                   std::string(kFarmKillEnvVar).c_str(), raw->c_str());
-      return std::nullopt;
-    }
-  }
-  if (plan.glob.empty()) return std::nullopt;
-  return plan;
 }
 
 /// One pool slot.
@@ -126,7 +85,7 @@ pid_t spawn_run(const campaign_run& run, const std::string& run_dir,
   env_set(blas::kVerboseJsonEnvVar, verbose_path);
   // The farm plan is the PARENT'S fault injector; a worker must not
   // re-trigger engine-level plans meant for the farm.
-  env_unset(kFarmKillEnvVar);
+  env_unset(row(knob::farm_kill).name);
   for (const auto& [key, value] : run.env) env_set(key, value);
 
   const char* argv[] = {options.driver.c_str(), deck_path.c_str(),
@@ -139,6 +98,22 @@ pid_t spawn_run(const campaign_run& run, const std::string& run_dir,
 
 }  // namespace
 
+std::optional<kill_plan> parse_kill_plan(std::string_view text) {
+  kill_plan plan;
+  const auto colon = text.rfind(':');
+  plan.glob = std::string(text.substr(0, colon));  // bare glob: kill at once
+  if (colon != std::string_view::npos) {
+    const std::string seconds(text.substr(colon + 1));
+    char* end = nullptr;
+    plan.after_seconds = std::strtod(seconds.c_str(), &end);
+    if (seconds.empty() || *end != '\0' || !(plan.after_seconds >= 0)) {
+      return std::nullopt;
+    }
+  }
+  if (plan.glob.empty()) return std::nullopt;
+  return plan;
+}
+
 run_counters parse_run_counters(const std::string& path) {
   run_counters counters;
   std::ifstream in(path);
@@ -147,14 +122,14 @@ run_counters parse_run_counters(const std::string& path) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++counters.gemm_records;
-    if (const auto site = string_field(line, "site");
+    if (const auto site = trace::json_string_field(line, "site");
         site && *site == tune::kCalibrationSite) {
       ++counters.calibration_gemms;
     }
-    if (const auto tune_tag = string_field(line, "tune")) {
+    if (const auto tune_tag = trace::json_string_field(line, "tune")) {
       ++counters.tune[*tune_tag];
     }
-    if (const auto health_tag = string_field(line, "health")) {
+    if (const auto health_tag = trace::json_string_field(line, "health")) {
       ++counters.health[*health_tag];
     }
   }
@@ -216,7 +191,8 @@ campaign_result run_campaign(const std::vector<campaign_run>& runs,
     }
   }
 
-  const std::optional<kill_plan> plan = parse_kill_plan();
+  const std::optional<kill_plan> plan =
+      knob_value(knob::farm_kill, parse_kill_plan);
   bool kill_spent = false;
 
   // Cold scout: with an empty store, the first pending run goes alone.
@@ -285,8 +261,8 @@ campaign_result run_campaign(const std::vector<campaign_run>& runs,
       worker.started = now_seconds();
       worker.kill_armed =
           plan && !kill_spent &&
-          (blas::glob_match(plan->glob, run.id) ||
-           blas::glob_match(plan->glob, run.tag));
+          (glob_match(plan->glob, run.id) ||
+           glob_match(plan->glob, run.tag));
       if (worker.kill_armed) kill_spent = true;  // plan fires once
       worker.pid = spawn_run(run, run_dir, options);
       if (worker.pid < 0) {

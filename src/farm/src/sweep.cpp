@@ -5,8 +5,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dcmesh/blas/verbose.hpp"  // render_knob
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/core/presets.hpp"
+#include "dcmesh/farm/runner.hpp"  // parse_kill_plan
 
 namespace dcmesh::farm {
 namespace {
@@ -32,11 +35,29 @@ core::run_config preset_by_name(const std::string& name) {
   throw std::runtime_error("unknown preset '" + name + "'");
 }
 
-/// Env axes are exactly the engine's runtime knobs: anything with the
-/// reserved prefixes.  Everything else must parse as a run-deck key.
+/// Env axes are exactly the knob table's names.  A key with a reserved
+/// prefix that names no knob is an env axis too, rejected at expansion;
+/// everything else must parse as a run-deck key.
 bool is_env_key(std::string_view upper_key) {
-  return upper_key.rfind("DCMESH_", 0) == 0 ||
-         upper_key.rfind("MKL_", 0) == 0;
+  return find_knob(upper_key) || upper_key.rfind("DCMESH_", 0) == 0 ||
+         upper_key.rfind("MKL_", 0) == 0 || upper_key.rfind("OMP_", 0) == 0;
+}
+
+/// Fail at expansion, not in the run: the axis must name a knob and each
+/// value must parse under that knob's own grammar.
+void check_env_axis(const sweep_axis& axis) {
+  const auto k = find_knob(axis.key);
+  if (!k) throw std::runtime_error("unknown environment knob: " + axis.key);
+  for (const std::string& value : axis.values) {
+    const bool ok = *k == knob::farm_kill
+                        ? parse_kill_plan(value).has_value()
+                        : blas::render_knob(*k, value).has_value();
+    if (!ok) {
+      throw std::runtime_error("malformed " + axis.key + "=\"" + value +
+                               "\" (expected " +
+                               std::string(row(*k).grammar) + ")");
+    }
+  }
 }
 
 }  // namespace
@@ -92,9 +113,9 @@ sweep_spec parse_sweep(std::istream& in) {
     } else {
       sweep_axis axis;
       axis.is_env = is_env_key(upper_key);
-      // Env vars keep their exact case; deck keys are normalized lower
-      // so the tag reads like a deck line.
-      axis.key = axis.is_env ? raw_key : to_lower(upper_key);
+      // Env vars take the table's (upper) case; deck keys are normalized
+      // lower so the tag reads like a deck line.
+      axis.key = axis.is_env ? upper_key : to_lower(upper_key);
       axis.values = values;
       spec.axes.push_back(std::move(axis));
     }
@@ -118,7 +139,7 @@ void add_axis(sweep_spec& spec, const std::string& assignment) {
   const std::string raw_key{trim(std::string_view(assignment).substr(0, eq))};
   const std::string upper_key = to_upper(raw_key);
   axis.is_env = is_env_key(upper_key);
-  axis.key = axis.is_env ? raw_key : to_lower(upper_key);
+  axis.key = axis.is_env ? upper_key : to_lower(upper_key);
   axis.values = split_values(std::string_view(assignment).substr(eq + 1));
   if (axis.values.empty()) {
     throw std::runtime_error("--set " + raw_key + ": no values");
@@ -128,7 +149,10 @@ void add_axis(sweep_spec& spec, const std::string& assignment) {
 
 std::vector<campaign_run> expand(const sweep_spec& spec) {
   std::size_t total = 1;
-  for (const auto& axis : spec.axes) total *= axis.values.size();
+  for (const auto& axis : spec.axes) {
+    if (axis.is_env) check_env_axis(axis);
+    total *= axis.values.size();
+  }
 
   const std::string base_deck = core::to_deck(spec.base);
   std::vector<campaign_run> runs;

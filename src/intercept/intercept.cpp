@@ -63,6 +63,7 @@
 #include "dcmesh/blas/level2.hpp"
 #include "dcmesh/blas/rank_k.hpp"
 #include "dcmesh/blas/trsm.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/dcmesh_blas.h"
 #include "site_identity.hpp"
 
@@ -149,6 +150,18 @@ dcmesh::blas::uplo flip(dcmesh::blas::uplo u) {
                                         : dcmesh::blas::uplo::upper;
 }
 
+/// Real routines: ConjTrans is the same operation as Trans.
+dcmesh::blas::transpose real_trans(dcmesh::blas::transpose t) {
+  return t == dcmesh::blas::transpose::none ? t
+                                            : dcmesh::blas::transpose::trans;
+}
+
+/// N <-> T of a real_trans() value.
+dcmesh::blas::transpose flip(dcmesh::blas::transpose t) {
+  return t == dcmesh::blas::transpose::none ? dcmesh::blas::transpose::trans
+                                            : dcmesh::blas::transpose::none;
+}
+
 /// The engine's trsm/syrk throw instead of returning a status; a dropped
 /// call prints the same one-line xerbla-style record as report().
 void report_exception(const std::exception& e) {
@@ -159,6 +172,66 @@ void report(int status) {
   if (status != DCMESH_OK) {
     std::fprintf(stderr, "dcmesh-intercept: dropped call: %s\n",
                  dcmesh_last_error());
+  }
+}
+
+// Shared bodies of the real trsm/syrk/gemv entries, one per routine.
+
+template <typename T>
+void trsm_entry(int layout, int side_v, int uplo_v, int transa, int diag_v,
+                int m, int n, T alpha, const T* a, int lda, T* b, int ldb,
+                const char* site) {
+  try {
+    require_layout(layout);
+    auto s = engine_side(side_v);
+    auto u = engine_uplo(uplo_v);
+    const auto t = engine_trans(transa);
+    const auto d = engine_diag(diag_v);
+    if (layout == 101) {
+      s = flip(s);
+      u = flip(u);
+      std::swap(m, n);
+    }
+    dcmesh::blas::trsm<T>(s, u, t, d, m, n, alpha, a, lda, b, ldb, site);
+  } catch (const std::exception& e) {
+    report_exception(e);
+  }
+}
+
+template <typename T>
+void syrk_entry(int layout, int uplo_v, int transa, int n, int k, T alpha,
+                const T* a, int lda, T beta, T* c, int ldc,
+                const char* site) {
+  try {
+    require_layout(layout);
+    auto u = engine_uplo(uplo_v);
+    auto t = real_trans(engine_trans(transa));
+    if (layout == 101) {
+      u = flip(u);
+      t = flip(t);
+    }
+    dcmesh::blas::syrk<T>(u, t, n, k, alpha, a, lda, beta, c, ldc, site);
+  } catch (const std::exception& e) {
+    report_exception(e);
+  }
+}
+
+/// `transa` is a CBLAS enum or a Fortran TRANS string.
+template <typename T, typename Trans>
+void gemv_entry(int layout, Trans transa, int m, int n, T alpha, const T* a,
+                int lda, const T* x, int incx, T beta, T* y, int incy,
+                const char* site) {
+  try {
+    require_layout(layout);
+    auto t = real_trans(engine_trans(transa));
+    if (layout == 101) {
+      t = flip(t);
+      std::swap(m, n);
+    }
+    dcmesh::blas::gemv<T>(t, m, n, alpha, a, lda, x, incx, beta, y, incy,
+                          site);
+  } catch (const std::exception& e) {
+    report_exception(e);
   }
 }
 
@@ -181,9 +254,8 @@ void* chain_next(const char* name) {
   void* fn = ::dlsym(RTLD_NEXT, name);
   if (fn == nullptr) {
     std::fprintf(stderr,
-                 "dcmesh-intercept: %s=1 but no \"%s\" behind the shim; "
-                 "using the dcmesh engine\n",
-                 std::string(dcmesh::intercept::kChainEnvVar).c_str(),
+                 "dcmesh-intercept: DCMESH_INTERCEPT_CHAIN is on but no "
+                 "\"%s\" is behind the shim; using the dcmesh engine\n",
                  name);
   }
   return fn;
@@ -207,15 +279,21 @@ void* chain_next(const char* name) {
 extern "C" {
 
 // Shim-specific introspection (exported; used by tests and debuggers).
+// Each re-reads its knob: the shim carries its own engine copy, whose
+// knob cache a host's env_set or setenv cannot reach, so these calls are
+// where the host hands the shim a changed environment.
 DCMESH_PUBLIC const char* dcmesh_intercept_site_mode(void) {
+  dcmesh::knob_changed(dcmesh::row(dcmesh::knob::intercept_site_mode).name);
   return dcmesh::intercept::name(dcmesh::intercept::active_site_mode());
 }
 
 DCMESH_PUBLIC int dcmesh_intercept_autotune(void) {
+  dcmesh::knob_changed(dcmesh::row(dcmesh::knob::intercept_autotune).name);
   return dcmesh::intercept::autotune_enabled() ? 1 : 0;
 }
 
 DCMESH_PUBLIC int dcmesh_intercept_chain(void) {
+  dcmesh::knob_changed(dcmesh::row(dcmesh::knob::intercept_chain).name);
   return dcmesh::intercept::chain_enabled() ? 1 : 0;
 }
 
@@ -360,26 +438,8 @@ DCMESH_PUBLIC void cblas_strsm(int layout, int side_v, int uplo_v,
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_strsm, layout, side_v, uplo_v, transa, diag_v, m, n, alpha, a, lda, b,
                    ldb)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto s = engine_side(side_v);
-    auto u = engine_uplo(uplo_v);
-    const auto t = engine_trans(transa);
-    const auto d = engine_diag(diag_v);
-    int mm = m;
-    int nn = n;
-    if (layout == 101) {
-      s = flip(s);
-      u = flip(u);
-      std::swap(mm, nn);
-    }
-    dcmesh::blas::trsm<float>(s, u, t, d, mm, nn, alpha, a, lda, b, ldb,
-                              site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  trsm_entry(layout, side_v, uplo_v, transa, diag_v, m, n, alpha, a, lda, b,
+             ldb, dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 DCMESH_PUBLIC void cblas_dtrsm(int layout, int side_v, int uplo_v,
@@ -389,26 +449,8 @@ DCMESH_PUBLIC void cblas_dtrsm(int layout, int side_v, int uplo_v,
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_dtrsm, layout, side_v, uplo_v, transa, diag_v, m, n, alpha, a, lda, b,
                    ldb)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto s = engine_side(side_v);
-    auto u = engine_uplo(uplo_v);
-    const auto t = engine_trans(transa);
-    const auto d = engine_diag(diag_v);
-    int mm = m;
-    int nn = n;
-    if (layout == 101) {
-      s = flip(s);
-      u = flip(u);
-      std::swap(mm, nn);
-    }
-    dcmesh::blas::trsm<double>(s, u, t, d, mm, nn, alpha, a, lda, b, ldb,
-                               site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  trsm_entry(layout, side_v, uplo_v, transa, diag_v, m, n, alpha, a, lda, b,
+             ldb, dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 DCMESH_PUBLIC void cblas_ssyrk(int layout, int uplo_v, int transa, int n,
@@ -416,26 +458,8 @@ DCMESH_PUBLIC void cblas_ssyrk(int layout, int uplo_v, int transa, int n,
                                float beta, float* c, int ldc) {
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_ssyrk, layout, uplo_v, transa, n, k, alpha, a, lda, beta, c, ldc)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto u = engine_uplo(uplo_v);
-    // Real syrk: CblasConjTrans is the same operation as CblasTrans.
-    auto t = engine_trans(transa) == dcmesh::blas::transpose::none
-                 ? dcmesh::blas::transpose::none
-                 : dcmesh::blas::transpose::trans;
-    if (layout == 101) {
-      u = flip(u);
-      t = t == dcmesh::blas::transpose::none
-              ? dcmesh::blas::transpose::trans
-              : dcmesh::blas::transpose::none;
-    }
-    dcmesh::blas::syrk<float>(u, t, n, k, alpha, a, lda, beta, c, ldc,
-                              site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  syrk_entry(layout, uplo_v, transa, n, k, alpha, a, lda, beta, c, ldc,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 DCMESH_PUBLIC void cblas_dsyrk(int layout, int uplo_v, int transa, int n,
@@ -443,25 +467,8 @@ DCMESH_PUBLIC void cblas_dsyrk(int layout, int uplo_v, int transa, int n,
                                int lda, double beta, double* c, int ldc) {
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_dsyrk, layout, uplo_v, transa, n, k, alpha, a, lda, beta, c, ldc)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto u = engine_uplo(uplo_v);
-    auto t = engine_trans(transa) == dcmesh::blas::transpose::none
-                 ? dcmesh::blas::transpose::none
-                 : dcmesh::blas::transpose::trans;
-    if (layout == 101) {
-      u = flip(u);
-      t = t == dcmesh::blas::transpose::none
-              ? dcmesh::blas::transpose::trans
-              : dcmesh::blas::transpose::none;
-    }
-    dcmesh::blas::syrk<double>(u, t, n, k, alpha, a, lda, beta, c, ldc,
-                               site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  syrk_entry(layout, uplo_v, transa, n, k, alpha, a, lda, beta, c, ldc,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 // ------------------------------------------------ CBLAS gemv (v1.2)
@@ -479,26 +486,8 @@ DCMESH_PUBLIC void cblas_sgemv(int layout, int transa, int m, int n,
                                float* y, int incy) {
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_sgemv, layout, transa, m, n, alpha, a, lda, x, incx, beta, y, incy)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto t = engine_trans(transa) == dcmesh::blas::transpose::none
-                 ? dcmesh::blas::transpose::none
-                 : dcmesh::blas::transpose::trans;
-    int mm = m;
-    int nn = n;
-    if (layout == 101) {
-      t = t == dcmesh::blas::transpose::none
-              ? dcmesh::blas::transpose::trans
-              : dcmesh::blas::transpose::none;
-      std::swap(mm, nn);
-    }
-    dcmesh::blas::gemv<float>(t, mm, nn, alpha, a, lda, x, incx, beta, y,
-                              incy, site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  gemv_entry(layout, transa, m, n, alpha, a, lda, x, incx, beta, y, incy,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 DCMESH_PUBLIC void cblas_dgemv(int layout, int transa, int m, int n,
@@ -507,26 +496,8 @@ DCMESH_PUBLIC void cblas_dgemv(int layout, int transa, int m, int n,
                                double* y, int incy) {
   ensure_armed();
   DCMESH_TRY_CHAIN(cblas_dgemv, layout, transa, m, n, alpha, a, lda, x, incx, beta, y, incy)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    require_layout(layout);
-    auto t = engine_trans(transa) == dcmesh::blas::transpose::none
-                 ? dcmesh::blas::transpose::none
-                 : dcmesh::blas::transpose::trans;
-    int mm = m;
-    int nn = n;
-    if (layout == 101) {
-      t = t == dcmesh::blas::transpose::none
-              ? dcmesh::blas::transpose::trans
-              : dcmesh::blas::transpose::none;
-      std::swap(mm, nn);
-    }
-    dcmesh::blas::gemv<double>(t, mm, nn, alpha, a, lda, x, incx, beta, y,
-                               incy, site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  gemv_entry(layout, transa, m, n, alpha, a, lda, x, incx, beta, y, incy,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 // ---------------------------------------------------------- Fortran
@@ -594,18 +565,8 @@ DCMESH_PUBLIC void sgemv_(const char* trans, const int* m, const int* n,
                           const float* beta, float* y, const int* incy) {
   ensure_armed();
   DCMESH_TRY_CHAIN(sgemv_, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    // Real gemv: 'C' is the same operation as 'T'.
-    const auto t = engine_trans(trans) == dcmesh::blas::transpose::none
-                       ? dcmesh::blas::transpose::none
-                       : dcmesh::blas::transpose::trans;
-    dcmesh::blas::gemv<float>(t, *m, *n, *alpha, a, *lda, x, *incx, *beta,
-                              y, *incy, site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  gemv_entry(102, trans, *m, *n, *alpha, a, *lda, x, *incx, *beta, y, *incy,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 DCMESH_PUBLIC void dgemv_(const char* trans, const int* m, const int* n,
@@ -614,17 +575,8 @@ DCMESH_PUBLIC void dgemv_(const char* trans, const int* m, const int* n,
                           const double* beta, double* y, const int* incy) {
   ensure_armed();
   DCMESH_TRY_CHAIN(dgemv_, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-  const char* site =
-      dcmesh::intercept::site_for(__builtin_return_address(0));
-  try {
-    const auto t = engine_trans(trans) == dcmesh::blas::transpose::none
-                       ? dcmesh::blas::transpose::none
-                       : dcmesh::blas::transpose::trans;
-    dcmesh::blas::gemv<double>(t, *m, *n, *alpha, a, *lda, x, *incx, *beta,
-                               y, *incy, site);
-  } catch (const std::exception& e) {
-    report_exception(e);
-  }
+  gemv_entry(102, trans, *m, *n, *alpha, a, *lda, x, *incx, *beta, y, *incy,
+             dcmesh::intercept::site_for(__builtin_return_address(0)));
 }
 
 }  // extern "C"

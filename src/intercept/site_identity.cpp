@@ -12,72 +12,21 @@
 #include <string>
 #include <unordered_map>
 
-#include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 namespace dcmesh::intercept {
 namespace {
 
-// All state behind one mutex: the env caches (reparsed only when the raw
-// text changes, warning once per malformed value) and the address->tag
-// cache.  Map values are never erased, so the returned c_str() pointers
-// stay valid for the process lifetime (unordered_map is node-based:
-// rehashing moves no values).
+// The address->tag cache.  Map values are never erased, so the returned
+// c_str() pointers stay valid for the process lifetime (unordered_map is
+// node-based: rehashing moves no values).
 std::mutex g_mutex;
-
-struct env_cache {
-  bool initialized = false;
-  std::string text;
-};
-
-env_cache g_mode_cache;           // guarded
-site_mode g_mode = site_mode::addr;  // guarded
-
-env_cache g_autotune_cache;       // guarded
-bool g_autotune = true;           // guarded
-
-env_cache g_chain_cache;          // guarded
-bool g_chain = false;             // guarded
-
 std::unordered_map<std::uint64_t, std::string> g_sites;  // guarded
 
-site_mode parse_site_mode_locked(const std::string& text) {
-  const std::string token = to_upper(trim(text));
-  if (token.empty() || token == "ADDR") return site_mode::addr;
-  if (token == "SYMBOL") return site_mode::symbol;
-  if (token == "SINGLE") return site_mode::single;
-  std::fprintf(stderr,
-               "dcmesh-intercept: ignoring malformed %s=\"%s\" "
-               "(expected addr|symbol|single); using addr\n",
-               std::string(kSiteModeEnvVar).c_str(), text.c_str());
-  return site_mode::addr;
-}
-
-bool parse_switch_locked(const std::string& text, std::string_view var,
-                         bool fallback) {
-  const std::string token = to_upper(trim(text));
-  if (token.empty()) return fallback;
-  if (token == "1" || token == "ON" || token == "TRUE" || token == "YES") {
-    return true;
-  }
-  if (token == "0" || token == "OFF" || token == "FALSE" || token == "NO") {
-    return false;
-  }
-  std::fprintf(stderr,
-               "dcmesh-intercept: ignoring malformed %s=\"%s\" "
-               "(expected 0|1|on|off|true|false|yes|no); using %s\n",
-               std::string(var).c_str(), text.c_str(),
-               fallback ? "on" : "off");
-  return fallback;
-}
-
-site_mode active_site_mode_locked() {
-  const std::string text = env_get(kSiteModeEnvVar).value_or("");
-  if (!g_mode_cache.initialized || text != g_mode_cache.text) {
-    g_mode_cache.initialized = true;
-    g_mode_cache.text = text;
-    g_mode = parse_site_mode_locked(text);
-  }
-  return g_mode;
+std::optional<site_mode> parse_site_mode(std::string_view text) {
+  const auto token = parse_token(row(knob::intercept_site_mode).grammar, text);
+  if (!token) return std::nullopt;
+  return static_cast<site_mode>(*token);  // grammar order = enum order
 }
 
 std::string basename_of(const char* path) {
@@ -127,13 +76,13 @@ const char* name(site_mode mode) noexcept {
 }
 
 site_mode active_site_mode() {
-  std::lock_guard lock(g_mutex);
-  return active_site_mode_locked();
+  return knob_value(knob::intercept_site_mode, parse_site_mode)
+      .value_or(site_mode::addr);
 }
 
 const char* site_for(void* return_address) {
+  const site_mode mode = active_site_mode();
   std::lock_guard lock(g_mutex);
-  const site_mode mode = active_site_mode_locked();
   const auto key =
       (static_cast<std::uint64_t>(
            reinterpret_cast<std::uintptr_t>(return_address))
@@ -147,25 +96,11 @@ const char* site_for(void* return_address) {
 }
 
 bool autotune_enabled() {
-  std::lock_guard lock(g_mutex);
-  const std::string text = env_get(kAutotuneEnvVar).value_or("");
-  if (!g_autotune_cache.initialized || text != g_autotune_cache.text) {
-    g_autotune_cache.initialized = true;
-    g_autotune_cache.text = text;
-    g_autotune = parse_switch_locked(text, kAutotuneEnvVar, true);
-  }
-  return g_autotune;
+  return knob_value(knob::intercept_autotune, parse_switch).value_or(true);
 }
 
 bool chain_enabled() {
-  std::lock_guard lock(g_mutex);
-  const std::string text = env_get(kChainEnvVar).value_or("");
-  if (!g_chain_cache.initialized || text != g_chain_cache.text) {
-    g_chain_cache.initialized = true;
-    g_chain_cache.text = text;
-    g_chain = parse_switch_locked(text, kChainEnvVar, false);
-  }
-  return g_chain;
+  return knob_value(knob::intercept_chain, parse_switch).value_or(false);
 }
 
 }  // namespace dcmesh::intercept

@@ -20,8 +20,8 @@
 //   single            "intercept/app" — one tag for the whole process,
 //                     the coarse "just give everything one policy" knob.
 //
-// selected by DCMESH_INTERCEPT_SITE_MODE.  Parsing follows the repo's
-// env-var convention: malformed values warn ONCE per value to stderr and
+// selected by DCMESH_INTERCEPT_SITE_MODE.  The three shim variables are
+// knobs (knobs.hpp): malformed values warn ONCE per value to stderr and
 // fall back to the default; nothing ever throws on the interposed path.
 
 #include <string_view>
@@ -33,8 +33,8 @@ enum class site_mode { addr, symbol, single };
 /// Display name: "addr", "symbol", "single".
 [[nodiscard]] const char* name(site_mode mode) noexcept;
 
-/// Mode requested by DCMESH_INTERCEPT_SITE_MODE (re-read on every query,
-/// cached on the raw text; malformed values warn once and yield addr).
+/// Mode requested by DCMESH_INTERCEPT_SITE_MODE (a cached knob; malformed
+/// values warn once and yield addr).
 [[nodiscard]] site_mode active_site_mode();
 
 /// Stable site tag for `return_address` under the active mode.  The
@@ -54,13 +54,6 @@ enum class site_mode { addr, symbol, single };
 /// the zero-rebuild baseline for A/B runs against the system BLAS
 /// (default off).  Same 0/1/on/off/... parsing as autotune_enabled().
 [[nodiscard]] bool chain_enabled();
-
-inline constexpr std::string_view kSiteModeEnvVar =
-    "DCMESH_INTERCEPT_SITE_MODE";
-inline constexpr std::string_view kAutotuneEnvVar =
-    "DCMESH_INTERCEPT_AUTOTUNE";
-inline constexpr std::string_view kChainEnvVar =
-    "DCMESH_INTERCEPT_CHAIN";
 
 /// Every derived tag starts with this, so one glob ("intercept/*")
 /// addresses all interposed calls in a policy.

@@ -289,8 +289,9 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
 
 template <typename R>
 void lfd_engine<R>::check_step_invariants(const qd_record& rec) {
-  // One getenv when the sentinel is off; the first violation wins (the
-  // driver rolls the whole series back, so later ones add nothing).
+  // One cached knob read when the sentinel is off; the first violation
+  // wins (the driver rolls the whole series back, so later ones add
+  // nothing).
   if (resil::active_health_level() == resil::health_level::off) return;
   if (!health_violation_.empty()) return;
   const resil::invariant_limits limits = resil::active_limits();

@@ -51,7 +51,7 @@ enum class abft_mode {
     std::string_view token);
 
 /// The active process-wide default: the programmatic override if set,
-/// else DCMESH_ABFT (re-read per query; malformed warns once, reads off).
+/// else DCMESH_ABFT (a cached knob; malformed warns once, reads off).
 [[nodiscard]] abft_mode active_abft_mode();
 
 /// Force a mode programmatically (tests/driver); nullopt falls back to

@@ -44,13 +44,15 @@
 // A malformed plan warns once to stderr and disables injection (it never
 // throws from the hot path); parse_fault_plan() throws for programmatic
 // callers who want the error.  With no plan installed the per-call check
-// is a single getenv that reduces to a no-op.
+// is one cached knob read that reduces to a no-op.
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "dcmesh/common/env.hpp"
 
 namespace dcmesh::resil {
 
@@ -109,8 +111,8 @@ struct fault_hit {
 /// Ask whether the active plan injects into this call.  Advances the
 /// per-rule occurrence counters for every matching rule (so rules with a
 /// fixed call# are one-shot), returns the first rule that fires.  Cheap
-/// (one getenv) when no plan is installed.  Thread-safe; deterministic for
-/// the serial call order of the driver loop.
+/// (one cached knob read) when no plan is installed.  Thread-safe;
+/// deterministic for the serial call order of the driver loop.
 [[nodiscard]] std::optional<fault_hit> next_fault(std::string_view site);
 
 /// Install a plan programmatically (overrides DCMESH_FAULT_PLAN until
@@ -118,17 +120,14 @@ struct fault_hit {
 void set_fault_plan(std::optional<fault_plan> plan);
 
 /// Zero the occurrence counters and injection tally, and force the next
-/// query to re-read DCMESH_FAULT_PLAN (tests flip the env at run time).
+/// query to re-arm from DCMESH_FAULT_PLAN (tests flip it with env_set).
 void reset_fault_state();
 
 /// Total faults injected (next_fault() hits) since the last reset.
 [[nodiscard]] std::uint64_t injection_count();
 
-/// Glob matcher over site tags: '*' any sequence (including '/'), '?' one
-/// character.  Same semantics as the BLAS policy engine's matcher (resil
-/// sits below blas, so it carries its own copy).
-[[nodiscard]] bool glob_match(std::string_view pattern,
-                              std::string_view text) noexcept;
+/// Glob matcher over site tags, shared with the policy engine.
+using dcmesh::glob_match;
 
 /// Environment variable holding the plan text.
 inline constexpr std::string_view kFaultPlanEnvVar = "DCMESH_FAULT_PLAN";

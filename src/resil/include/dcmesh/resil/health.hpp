@@ -12,11 +12,12 @@
 //    a bounded per-step ekin jump.
 //
 // DCMESH_HEALTH selects the level: off (default — zero hot-path cost
-// beyond one getenv), sample (scan up to kSampleScanElems elements of C,
-// deterministically strided), full (scan all of C).  Any non-off level
-// also arms the step invariants and the driver's checkpoint-ring
-// rollback.  A malformed value warns once and behaves as off — the
-// env-robustness contract shared with the policy/ISA/trace variables.
+// beyond one cached knob read), sample (scan up to kSampleScanElems
+// elements of C, deterministically strided), full (scan all of C).  Any
+// non-off level also arms the step invariants and the driver's
+// checkpoint-ring rollback.  A malformed value warns once and behaves as
+// off — the env-robustness contract shared with the policy/ISA/trace
+// variables.
 //
 // Detections become structured "health" events: a counter in the trace
 // metrics registry (trace::health_counters()), a zero-duration "health"
@@ -42,7 +43,7 @@ enum class health_level {
 [[nodiscard]] std::string_view name(health_level level) noexcept;
 
 /// The active level: the programmatic override if set, else DCMESH_HEALTH
-/// (re-read per query; malformed values warn once and read as off).
+/// (a cached knob; malformed values warn once and read as off).
 [[nodiscard]] health_level active_health_level();
 
 /// Force a level programmatically (tests/examples); nullopt falls back to

@@ -1,26 +1,18 @@
 #include "dcmesh/resil/abft.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <string>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 namespace dcmesh::resil {
 namespace {
 
-std::mutex g_mutex;
-// Lock-free fast path flag mirroring g_forced.has_value().
-std::atomic<bool> g_have_forced{false};
-// Guarded by g_mutex:
-std::optional<abft_mode> g_forced;
-std::string g_env_cache;
-bool g_env_cache_valid = false;
-abft_mode g_env_mode = abft_mode::off;
-bool g_mode_warned = false;
+// In-process override: -1 = none, else an abft_mode.
+std::atomic<int> g_forced{-1};
 
 template <typename T, typename Bits>
 T snap_impl(T faulty, double target, double tol) noexcept {
@@ -65,46 +57,14 @@ std::optional<abft_mode> parse_abft_mode(std::string_view token) {
 }
 
 abft_mode active_abft_mode() {
-  // Fast path: nothing forced, nothing in the environment — one getenv,
-  // no lock (the GEMM hot path runs this per call).
-  const char* raw = std::getenv(std::string(kAbftEnvVar).c_str());
-  if ((raw == nullptr || raw[0] == '\0') &&
-      !g_have_forced.load(std::memory_order_relaxed)) {
-    return abft_mode::off;
-  }
-  std::lock_guard lock(g_mutex);
-  if (g_forced) return *g_forced;
-  const std::string text = (raw != nullptr) ? raw : "";
-  if (g_env_cache_valid && text == g_env_cache) return g_env_mode;
-  g_env_cache = text;
-  g_env_cache_valid = true;
-  if (text.empty()) {
-    g_env_mode = abft_mode::off;
-    return g_env_mode;
-  }
-  const auto parsed = parse_abft_mode(text);
-  if (!parsed) {
-    // Malformed: warn once, disable the feature — never throw.
-    if (!g_mode_warned) {
-      std::fprintf(stderr,
-                   "dcmesh: unrecognised %s value \"%s\" (expected "
-                   "off|detect|correct); ABFT disabled\n",
-                   std::string(kAbftEnvVar).c_str(), text.c_str());
-      g_mode_warned = true;
-    }
-    g_env_mode = abft_mode::off;
-  } else {
-    g_env_mode = *parsed;
-  }
-  return g_env_mode;
+  const int forced = g_forced.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<abft_mode>(forced);
+  return knob_value(knob::abft, parse_abft_mode).value_or(abft_mode::off);
 }
 
 void set_abft_mode(std::optional<abft_mode> mode) {
-  std::lock_guard lock(g_mutex);
-  g_forced = mode;
-  g_have_forced.store(mode.has_value(), std::memory_order_relaxed);
-  g_env_cache_valid = false;  // re-read (and re-warn-check) the env later
-  g_mode_warned = false;
+  g_forced.store(mode ? static_cast<int>(*mode) : -1,
+                 std::memory_order_relaxed);
 }
 
 abft_thresholds derive_abft_thresholds(const abft_error_model& model,

@@ -1,11 +1,11 @@
 #include "dcmesh/resil/fault_plan.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/common/rng.hpp"
 
 namespace dcmesh::resil {
@@ -22,12 +22,10 @@ std::mutex g_mutex;
 // All guarded by g_mutex:
 std::optional<fault_plan> g_programmatic;
 plan_state g_state;
-std::string g_env_cache;     ///< Raw env text the state was parsed from.
-bool g_env_cache_valid = false;
-bool g_env_warned = false;
+/// The DCMESH_FAULT_PLAN knob entry g_state was armed from; a new entry
+/// (first query, env_set, reset_fault_state) re-arms the counters.
+const std::optional<fault_plan>* g_armed_from = nullptr;
 
-// Lock-free fast path: true while a programmatic plan is installed (the
-// env fast path is the getenv itself).
 std::atomic<bool> g_have_programmatic{false};
 std::atomic<std::uint64_t> g_injections{0};
 
@@ -35,31 +33,21 @@ void rearm(plan_state& state, fault_plan plan) {
   state.plan = std::move(plan);
   state.matched.assign(state.plan.rules.size(), 0);
   state.seed = static_cast<std::uint64_t>(
-      env_get_int(kFaultSeedEnvVar, 0x5eed));
+      knob_value(knob::fault_seed, parse_integer).value_or(0x5eed));
 }
 
-/// Re-parse the environment plan when its text changed.  Malformed text
-/// warns once and leaves an empty (disabled) plan installed — the
-/// env-robustness contract: never throw from the GEMM hot path.
-void refresh_from_env_locked() {
-  const auto raw = env_get(kFaultPlanEnvVar);
-  const std::string text = raw.value_or("");
-  if (g_env_cache_valid && text == g_env_cache) return;
-  g_env_cache = text;
-  g_env_cache_valid = true;
+/// Knob grammar: a malformed plan reads as no plan — the env-robustness
+/// contract: never throw from the GEMM hot path.
+std::optional<fault_plan> parse_env_plan(std::string_view text) {
   try {
-    rearm(g_state, text.empty() ? fault_plan{} : parse_fault_plan(text));
-  } catch (const std::invalid_argument& error) {
-    if (!g_env_warned) {
-      std::fprintf(stderr,
-                   "dcmesh: malformed %s \"%s\" (%s); fault injection "
-                   "disabled\n",
-                   std::string(kFaultPlanEnvVar).c_str(), text.c_str(),
-                   error.what());
-      g_env_warned = true;
-    }
-    rearm(g_state, fault_plan{});
+    return parse_fault_plan(text);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
+}
+
+const std::optional<fault_plan>& env_plan() {
+  return knob_value(knob::fault_plan, parse_env_plan);
 }
 
 }  // namespace
@@ -74,29 +62,6 @@ std::string_view name(fault_kind kind) noexcept {
     case fault_kind::scale: return "scale";
   }
   return "?";
-}
-
-bool glob_match(std::string_view pattern, std::string_view text) noexcept {
-  // Iterative '*' backtracking (same semantics as blas::glob_match).
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string_view::npos, mark = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      mark = t;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      t = ++mark;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
 }
 
 fault_plan parse_fault_plan(std::string_view text) {
@@ -138,36 +103,22 @@ fault_plan parse_fault_plan(std::string_view text) {
     if (fields[1] == "*") {
       rule.call_index = -1;
     } else {
-      char* parse_end = nullptr;
-      const std::string index_text(fields[1]);
-      const long long parsed =
-          std::strtoll(index_text.c_str(), &parse_end, 10);
-      if (index_text.empty() || parse_end != index_text.c_str() +
-                                    index_text.size() ||
-          parsed < 0) {
+      const auto index = parse_integer(fields[1]);
+      if (!index || *index < 0) {
         throw std::invalid_argument(context + ": bad call index \"" +
-                                    index_text + "\"");
+                                    std::string(fields[1]) + "\"");
       }
-      rule.call_index = parsed;
+      rule.call_index = *index;
     }
 
-    const std::string kind_token = to_upper(fields[2]);
-    if (kind_token == "BITFLIP") {
-      rule.kind = fault_kind::bitflip;
-    } else if (kind_token == "BITFLIP_A") {
-      rule.kind = fault_kind::bitflip_a;
-    } else if (kind_token == "BITFLIP_B") {
-      rule.kind = fault_kind::bitflip_b;
-    } else if (kind_token == "NAN") {
-      rule.kind = fault_kind::nan_value;
-    } else if (kind_token == "INF") {
-      rule.kind = fault_kind::inf_value;
-    } else if (kind_token == "SCALE") {
-      rule.kind = fault_kind::scale;
-    } else {
+    // Token order = fault_kind order.
+    const auto kind =
+        parse_token("bitflip|bitflip_a|bitflip_b|nan|inf|scale", fields[2]);
+    if (!kind) {
       throw std::invalid_argument(context + ": unknown fault kind \"" +
                                   std::string(fields[2]) + "\"");
     }
+    rule.kind = static_cast<fault_kind>(*kind);
 
     if (fields.size() >= 4) {
       const std::string param_text(fields[3]);
@@ -185,16 +136,12 @@ fault_plan parse_fault_plan(std::string_view text) {
       }
     }
     if (fields.size() == 5) {
-      char* parse_end = nullptr;
-      const std::string hits_text(fields[4]);
-      const long long parsed =
-          std::strtoll(hits_text.c_str(), &parse_end, 10);
-      if (hits_text.empty() ||
-          parse_end != hits_text.c_str() + hits_text.size() || parsed < 1) {
+      const auto hits = parse_positive_integer(fields[4]);
+      if (!hits) {
         throw std::invalid_argument(context + ": bad hit count \"" +
-                                    hits_text + "\"");
+                                    std::string(fields[4]) + "\"");
       }
-      rule.hits = parsed;
+      rule.hits = *hits;
     }
     plan.rules.push_back(std::move(rule));
     if (end == text.size()) break;
@@ -203,18 +150,15 @@ fault_plan parse_fault_plan(std::string_view text) {
 }
 
 std::optional<fault_hit> next_fault(std::string_view site) {
-  // Fast path: no programmatic plan and no env text -> inert.
-  if (!g_have_programmatic.load(std::memory_order_relaxed)) {
-    const char* raw =
-        std::getenv(std::string(kFaultPlanEnvVar).c_str());
-    if (raw == nullptr || raw[0] == '\0') return std::nullopt;
+  // Fast path: no programmatic plan and no env plan -> inert.
+  if (!g_have_programmatic.load(std::memory_order_relaxed) && !env_plan()) {
+    return std::nullopt;
   }
 
   std::lock_guard lock(g_mutex);
-  if (g_programmatic) {
-    // nothing to refresh — counters live in g_state already
-  } else {
-    refresh_from_env_locked();
+  if (!g_programmatic && &env_plan() != g_armed_from) {
+    g_armed_from = &env_plan();
+    rearm(g_state, g_armed_from->value_or(fault_plan{}));
   }
   if (g_state.plan.empty()) return std::nullopt;
 
@@ -254,7 +198,7 @@ void set_fault_plan(std::optional<fault_plan> plan) {
   if (g_programmatic) {
     rearm(g_state, *g_programmatic);
   } else {
-    g_env_cache_valid = false;  // re-read the env on the next query
+    g_armed_from = nullptr;  // re-arm from the env on the next query
     rearm(g_state, fault_plan{});
   }
   g_injections.store(0, std::memory_order_relaxed);
@@ -265,8 +209,7 @@ void reset_fault_state() {
   if (g_programmatic) {
     rearm(g_state, *g_programmatic);
   } else {
-    g_env_cache_valid = false;
-    g_env_warned = false;
+    g_armed_from = nullptr;
     rearm(g_state, fault_plan{});
   }
   g_injections.store(0, std::memory_order_relaxed);

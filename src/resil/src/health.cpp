@@ -3,26 +3,22 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <string>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/trace/metrics.hpp"
 #include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::resil {
 namespace {
 
-std::mutex g_mutex;
-// Lock-free fast path flag mirroring g_forced.has_value().
-std::atomic<bool> g_have_forced{false};
-// Guarded by g_mutex:
-std::optional<health_level> g_forced;
-std::string g_env_cache;
-bool g_env_cache_valid = false;
-health_level g_env_level = health_level::off;
-bool g_level_warned = false;
+// In-process override: -1 = none, else a health_level.
+std::atomic<int> g_forced{-1};
+
+// Sample-cadence call counter (process-wide, advanced by
+// health_sample_due).
+std::atomic<std::uint64_t> g_sample_counter{0};
 
 /// Parse one DCMESH_HEALTH token; nullopt when unrecognised.
 std::optional<health_level> parse_level(std::string_view token) {
@@ -33,28 +29,9 @@ std::optional<health_level> parse_level(std::string_view token) {
   return std::nullopt;
 }
 
-/// Env double with warn-once fallback (shared by the limit knobs).
-double env_limit(std::string_view var, double fallback) {
-  const auto raw = env_get(var);
-  if (!raw) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw->c_str(), &end);
-  if (end != raw->c_str() + raw->size() || !(parsed > 0.0)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "dcmesh: malformed health limit %s=\"%s\" (want a "
-                   "positive number); using the default\n",
-                   std::string(var).c_str(), raw->c_str());
-    }
-    return fallback;
-  }
-  return parsed;
+double limit(knob k, double fallback) {
+  return knob_value(k, parse_positive_real).value_or(fallback);
 }
-
-// Sample-cadence call counter (process-wide, advanced by
-// health_sample_due).
-std::atomic<std::uint64_t> g_sample_counter{0};
 
 }  // namespace
 
@@ -68,72 +45,27 @@ std::string_view name(health_level level) noexcept {
 }
 
 health_level active_health_level() {
-  // Fast path: nothing forced, nothing in the environment — one getenv,
-  // no lock (the GEMM hot path runs this per call).
-  const char* raw = std::getenv(std::string(kHealthEnvVar).c_str());
-  if ((raw == nullptr || raw[0] == '\0') &&
-      !g_have_forced.load(std::memory_order_relaxed)) {
-    return health_level::off;
-  }
-  std::lock_guard lock(g_mutex);
-  if (g_forced) return *g_forced;
-  const std::string text = (raw != nullptr) ? raw : "";
-  if (g_env_cache_valid && text == g_env_cache) return g_env_level;
-  g_env_cache = text;
-  g_env_cache_valid = true;
-  if (text.empty()) {
-    g_env_level = health_level::off;
-    return g_env_level;
-  }
-  const auto parsed = parse_level(text);
-  if (!parsed) {
-    // Malformed: warn once, disable the feature — never throw.
-    if (!g_level_warned) {
-      std::fprintf(stderr,
-                   "dcmesh: unrecognised %s value \"%s\" (expected "
-                   "off|sample|full); health sentinel disabled\n",
-                   std::string(kHealthEnvVar).c_str(), text.c_str());
-      g_level_warned = true;
-    }
-    g_env_level = health_level::off;
-  } else {
-    g_env_level = *parsed;
-  }
-  return g_env_level;
+  const int forced = g_forced.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<health_level>(forced);
+  return knob_value(knob::health, parse_level).value_or(health_level::off);
 }
 
 void set_health_level(std::optional<health_level> level) {
-  std::lock_guard lock(g_mutex);
-  g_forced = level;
-  g_have_forced.store(level.has_value(), std::memory_order_relaxed);
-  g_env_cache_valid = false;  // re-read (and re-warn-check) the env later
-  g_level_warned = false;
+  g_forced.store(level ? static_cast<int>(*level) : -1,
+                 std::memory_order_relaxed);
 }
 
 invariant_limits active_limits() {
   invariant_limits limits;
-  limits.norm_drift_max = env_limit(kNormDriftEnvVar, limits.norm_drift_max);
-  limits.value_max = env_limit(kValueMaxEnvVar, limits.value_max);
-  limits.ekin_jump_rel = env_limit(kEkinJumpEnvVar, limits.ekin_jump_rel);
+  limits.norm_drift_max = limit(knob::health_norm_drift, limits.norm_drift_max);
+  limits.value_max = limit(knob::health_value_max, limits.value_max);
+  limits.ekin_jump_rel = limit(knob::health_ekin_jump, limits.ekin_jump_rel);
   return limits;
 }
 
 std::uint64_t health_sample_period() {
-  const auto raw = env_get(kHealthSampleEnvVar);
-  if (!raw) return 1;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw->c_str(), &end, 10);
-  if (end != raw->c_str() + raw->size() || parsed <= 0) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "dcmesh: malformed %s=\"%s\" (want a positive "
-                   "integer); scanning every call\n",
-                   std::string(kHealthSampleEnvVar).c_str(), raw->c_str());
-    }
-    return 1;
-  }
-  return static_cast<std::uint64_t>(parsed);
+  return static_cast<std::uint64_t>(
+      knob_value(knob::health_sample, parse_positive_integer).value_or(1));
 }
 
 bool health_sample_due() {
@@ -164,7 +96,7 @@ void record_health_event(std::string_view kind, std::string_view site,
     event.args_json += "\"";
     collector.record(std::move(event));
   }
-  if (env_get_int("MKL_VERBOSE", 0) >= 1) {
+  if (knob_value(knob::verbose, parse_integer).value_or(0) >= 1) {
     std::fprintf(stderr, "DCMESH_RESIL %s site=%s %s\n",
                  std::string(kind).c_str(), std::string(site).c_str(),
                  std::string(detail).c_str());

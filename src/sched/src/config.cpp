@@ -5,13 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/sched/pool.hpp"
 
 namespace dcmesh::sched {
@@ -65,33 +65,26 @@ sched_state::sched_state() {
                  [] { state().mutex.unlock(); }, fork_child);
 }
 
-void warn_malformed_once(const std::string& text) {
-  static std::once_flag flag;
-  std::call_once(flag, [&] {
-    std::fprintf(stderr,
-                 "dcmesh: malformed %s value \"%s\"; expected serial or "
-                 "pool[:N] (1<=N<=%d); using serial\n",
-                 kSchedEnvVar, text.c_str(), thread_pool::kMaxWorkers);
-  });
+/// DCMESH_SCHED grammar, as a knob (a malformed value reads as unset).
+std::optional<sched_config> parse_sched_knob(std::string_view text) {
+  bool ok = false;
+  const sched_config config = parse_sched(text, &ok);
+  return ok ? std::optional(config) : std::nullopt;
 }
 
 // Resolve from the environment; caller holds state().mutex.
 void resolve_locked(sched_state& s) {
   if (s.resolved) return;
-  s.config = sched_config{};
-  if (std::optional<std::string> raw = dcmesh::env_get(kSchedEnvVar)) {
-    bool ok = false;
-    s.config = parse_sched(*raw, &ok);
-    if (!ok) warn_malformed_once(*raw);
-  }
+  s.config = knob_value(knob::sched, parse_sched_knob).value_or(sched_config{});
   s.resolved = true;
 }
 
 int threads_locked(sched_state& s) {
   if (s.threads == 0) {
     long t = s.threads_override;
-    if (t <= 0) t = dcmesh::env_get_int("MKL_NUM_THREADS", 0);
-    if (t <= 0) t = dcmesh::env_get_int("OMP_NUM_THREADS", 0);
+    for (const knob k : {knob::mkl_num_threads, knob::omp_num_threads}) {
+      if (t <= 0) t = knob_value(k, parse_integer).value_or(0);
+    }
     if (t <= 0) t = static_cast<long>(std::thread::hardware_concurrency());
     s.threads = static_cast<int>(
         std::clamp<long>(t, 1, thread_pool::kMaxWorkers));

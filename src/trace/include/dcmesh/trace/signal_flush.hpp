@@ -17,8 +17,9 @@
 
 namespace dcmesh::trace {
 
-/// Opt-in environment variable; "1" (or any nonzero integer) installs the
-/// handlers when the tracer singleton is first constructed.
+/// Opt-in environment variable; a switch (0|1|on|off|true|false|yes|no)
+/// that, when on, installs the handlers as the tracer singleton is first
+/// constructed.
 inline constexpr std::string_view kTraceFlushOnSignalEnvVar =
     "DCMESH_TRACE_FLUSH_ON_SIGNAL";
 
@@ -26,8 +27,8 @@ inline constexpr std::string_view kTraceFlushOnSignalEnvVar =
 /// nothing (the previous disposition is replaced).
 void install_signal_flush();
 
-/// Install the handlers iff DCMESH_TRACE_FLUSH_ON_SIGNAL parses to a
-/// nonzero integer.  Returns whether they are installed after the call.
+/// Install the handlers iff DCMESH_TRACE_FLUSH_ON_SIGNAL is on.  Returns
+/// whether they are installed after the call.
 bool install_signal_flush_from_env();
 
 /// True once install_signal_flush() has run in this process.

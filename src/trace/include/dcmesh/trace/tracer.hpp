@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -138,5 +139,14 @@ void set_gemm_time_model(std::function<double(const gemm_model_query&)> fn);
 
 /// Append `s` to `out` with JSON string escaping (no surrounding quotes).
 void append_json_escaped(std::string& out, std::string_view s);
+
+/// Value of `"field":"..."` on one JSON line (\n, \t and quoted
+/// characters unescaped); nullopt when absent or unterminated.
+[[nodiscard]] std::optional<std::string> json_string_field(
+    std::string_view line, std::string_view field);
+
+/// Value of `"field":<number>` on one JSON line; nullopt when absent.
+[[nodiscard]] std::optional<double> json_number_field(std::string_view line,
+                                                      std::string_view field);
 
 }  // namespace dcmesh::trace

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::trace {
@@ -28,9 +28,7 @@ void install_signal_flush() {
 }
 
 bool install_signal_flush_from_env() {
-  const char* raw =
-      std::getenv("DCMESH_TRACE_FLUSH_ON_SIGNAL");
-  if (raw != nullptr && raw[0] != '\0' && std::atol(raw) != 0) {
+  if (knob_value(knob::trace_flush_on_signal, parse_switch).value_or(false)) {
     install_signal_flush();
   }
   return signal_flush_installed();

@@ -2,6 +2,8 @@
 
 #include "dcmesh/trace/signal_flush.hpp"
 
+#include "dcmesh/common/knobs.hpp"
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -28,13 +30,11 @@ double ns_to_us(std::uint64_t ns) {
   return static_cast<double>(ns) * 1e-3;
 }
 
-/// DCMESH_TRACE_JSON value; nullptr when unset/empty.  Re-read on every
-/// call (tests flip it at run time).  The name must be a plain literal:
-/// this runs from an atexit handler, after any static std::string would
-/// already have been destroyed.
+/// DCMESH_TRACE_JSON value; nullptr when unset/empty.  This runs from an
+/// atexit handler too, which is safe: knob entries are never destroyed.
 const char* trace_env_path() {
-  const char* path = std::getenv("DCMESH_TRACE_JSON");
-  return (path != nullptr && path[0] != '\0') ? path : nullptr;
+  const auto& path = knob_value(knob::trace_json, parse_path);
+  return path ? path->c_str() : nullptr;
 }
 
 std::mutex g_model_mutex;
@@ -59,6 +59,39 @@ void append_json_escaped(std::string& out, std::string_view s) {
         }
     }
   }
+}
+
+std::optional<std::string> json_string_field(std::string_view line,
+                                             std::string_view field) {
+  const std::string needle = "\"" + std::string(field) + "\":\"";
+  const auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return std::nullopt;
+  std::string out;
+  for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
+    const char ch = line[i];
+    if (ch == '"') return out;
+    if (ch == '\\' && i + 1 < line.size()) {
+      // The writers only escape quote/backslash/control; unescape the
+      // two that can round-trip through site tags.
+      const char next = line[++i];
+      out += (next == 'n') ? '\n' : (next == 't') ? '\t' : next;
+    } else {
+      out += ch;
+    }
+  }
+  return std::nullopt;  // unterminated string
+}
+
+std::optional<double> json_number_field(std::string_view line,
+                                        std::string_view field) {
+  const std::string needle = "\"" + std::string(field) + "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return std::nullopt;
+  const std::string rest(line.substr(pos + needle.size()));
+  char* end = nullptr;
+  const double value = std::strtod(rest.c_str(), &end);
+  if (end == rest.c_str()) return std::nullopt;
+  return value;
 }
 
 struct tracer::impl {

@@ -59,6 +59,9 @@ inline constexpr std::string_view kTuneCacheEnvVar = "DCMESH_TUNE_CACHE";
 inline constexpr std::string_view kUlpBudgetEnvVar =
     "DCMESH_TUNE_ULP_BUDGET";
 
+/// Its grammar: a positive, finite number.
+[[nodiscard]] std::optional<double> parse_ulp_budget(std::string_view text);
+
 /// Default componentwise error budget, in ULPs of the storage precision.
 /// On the calibration operands the modes land roughly at standard ~10,
 /// BF16x3 ~5, 3M ~15, BF16x2 ~100-300, TF32 ~1e4, BF16 ~1e5 ULP; 1024
@@ -110,7 +113,7 @@ struct tuner_stats {
 /// resolve (including its calibration) runs under the instance lock.
 class autotuner {
  public:
-  /// Follow DCMESH_TUNE_CACHE: the path is re-read on every resolve, and
+  /// Follow DCMESH_TUNE_CACHE: the knob is consulted on every resolve, and
   /// a changed value resets and reloads the instance (tests and multi-run
   /// processes repoint it freely).
   autotuner();

@@ -1,7 +1,6 @@
 #include "dcmesh/tune/autotuner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -11,7 +10,7 @@
 #include <optional>
 
 #include "dcmesh/blas/gemm_call.hpp"
-#include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 #include "dcmesh/common/file_lock.hpp"
 #include "dcmesh/common/rng.hpp"
 #include "dcmesh/trace/tracer.hpp"
@@ -49,15 +48,6 @@ constexpr blas_int kMaxProbeK = 512;
 /// Below this nominal flop count the per-call blocking is noise; don't
 /// spend probe GEMMs (or a wisdom field) on it.  128 x 128 x 512 FP32.
 constexpr double kMinBlockingProbeFlops = 16.0 * 1024.0 * 1024.0;
-
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -231,27 +221,11 @@ std::vector<compute_mode> eligible_modes(bool is_complex, bool is_fp64) {
 }
 
 /// The effective budget: the policy rule's `ulp=` flag, else
-/// DCMESH_TUNE_ULP_BUDGET, else the default.  A malformed env value warns
-/// once and falls back to the default — never throws.
+/// DCMESH_TUNE_ULP_BUDGET, else the default (also for a malformed value).
 double effective_budget(double request_budget) {
   if (request_budget > 0.0) return request_budget;
-  const auto env = env_get(kUlpBudgetEnvVar);
-  if (!env) return kDefaultUlpBudget;
-  char* end = nullptr;
-  const double value = std::strtod(env->c_str(), &end);
-  if (end == env->c_str() || !trim(std::string_view(end)).empty() ||
-      !(value > 0.0) || !std::isfinite(value)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "dcmesh: ignoring invalid %s value \"%s\"; using the "
-                   "default budget of %g ULP\n",
-                   std::string(kUlpBudgetEnvVar).c_str(), env->c_str(),
-                   kDefaultUlpBudget);
-    }
-    return kDefaultUlpBudget;
-  }
-  return value;
+  return knob_value(knob::tune_ulp_budget, parse_ulp_budget)
+      .value_or(kDefaultUlpBudget);
 }
 
 /// Time candidate MC/NC blockings for the decided mode on real blocked
@@ -397,6 +371,11 @@ blas::auto_tune_choice make_choice(const wisdom_entry& entry,
 
 }  // namespace
 
+std::optional<double> parse_ulp_budget(std::string_view text) {
+  const auto value = parse_positive_real(text);
+  return value && std::isfinite(*value) ? value : std::nullopt;
+}
+
 autotuner::autotuner() { state_.follow_env = true; }
 
 autotuner::autotuner(std::string cache_path) {
@@ -405,12 +384,14 @@ autotuner::autotuner(std::string cache_path) {
 
 void autotuner::reload_if_needed(state& s) {
   if (s.follow_env) {
-    std::string path = env_get(kTuneCacheEnvVar).value_or("");
+    const auto& knob_path = knob_value(knob::tune_cache, parse_path);
+    const std::string_view path =
+        knob_path ? std::string_view(*knob_path) : std::string_view();
     if (path != s.path) {
       // Repointed: start over against the new file.
       state fresh;
       fresh.follow_env = true;
-      fresh.path = std::move(path);
+      fresh.path = path;
       s = std::move(fresh);
     }
   }

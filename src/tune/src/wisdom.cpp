@@ -6,45 +6,13 @@
 
 #include "dcmesh/common/atomic_file.hpp"
 #include "dcmesh/common/file_lock.hpp"
-#include "dcmesh/trace/tracer.hpp"  // append_json_escaped
+#include "dcmesh/trace/tracer.hpp"  // JSON line helpers
 
 namespace dcmesh::tune {
 namespace {
 
-/// Extract the string value of `"name":"..."`; nullopt when absent.
-std::optional<std::string> json_string_field(std::string_view line,
-                                             std::string_view field) {
-  const std::string needle = "\"" + std::string(field) + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-    const char ch = line[i];
-    if (ch == '"') return out;
-    if (ch == '\\' && i + 1 < line.size()) {
-      // The writer only escapes quote/backslash/control; unescape the
-      // two that can round-trip through site tags.
-      const char next = line[++i];
-      out += (next == 'n') ? '\n' : (next == 't') ? '\t' : next;
-    } else {
-      out += ch;
-    }
-  }
-  return std::nullopt;  // unterminated string
-}
-
-/// Extract the numeric value of `"name":<number>`; nullopt when absent.
-std::optional<double> json_number_field(std::string_view line,
-                                        std::string_view field) {
-  const std::string needle = "\"" + std::string(field) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const std::string rest(line.substr(pos + needle.size()));
-  char* end = nullptr;
-  const double value = std::strtod(rest.c_str(), &end);
-  if (end == rest.c_str()) return std::nullopt;
-  return value;
-}
+using trace::json_number_field;
+using trace::json_string_field;
 
 std::optional<shape_class> parse_shape_class(std::string_view text) {
   // "m<bits>n<bits>k<bits>"

@@ -13,6 +13,7 @@
 #include "blocking.hpp"
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/compute_mode.hpp"
+#include "dcmesh/common/env.hpp"
 #include "dcmesh/common/rng.hpp"
 #include "gemm_kernel.hpp"
 #include "kernel_isa.hpp"
@@ -553,26 +554,27 @@ TEST(PackArena, ThreadSafetyAndIndependence) {
 }
 
 // ---------------------------------------------------------------------------
-// DCMESH_KERNEL_ISA environment handling.  setenv + set_kernel_isa(nullopt)
-// re-resolves, so the cached launch value does not mask the test values.
+// DCMESH_KERNEL_ISA environment handling.  env_set drops the cached knob
+// and set_kernel_isa(nullopt) hands control back to the environment, so
+// the launch value does not mask the test values.
 
 struct env_isa_guard {
   ~env_isa_guard() {
-    ::unsetenv("DCMESH_KERNEL_ISA");
+    env_unset("DCMESH_KERNEL_ISA");
     detail::set_kernel_isa(std::nullopt);
   }
 };
 
 TEST(KernelIsa, EnvScalarForcesScalar) {
   env_isa_guard guard;
-  ::setenv("DCMESH_KERNEL_ISA", "Scalar", 1);  // case-insensitive
+  env_set("DCMESH_KERNEL_ISA", "Scalar");  // case-insensitive
   detail::set_kernel_isa(std::nullopt);
   EXPECT_EQ(detail::active_kernel_isa(), detail::kernel_isa::scalar);
 }
 
 TEST(KernelIsa, EnvAvx2HonouredOrFallsBack) {
   env_isa_guard guard;
-  ::setenv("DCMESH_KERNEL_ISA", "avx2", 1);
+  env_set("DCMESH_KERNEL_ISA", "avx2");
   detail::set_kernel_isa(std::nullopt);
   if (detail::avx2_kernels_available()) {
     EXPECT_EQ(detail::active_kernel_isa(), detail::kernel_isa::avx2);
@@ -584,7 +586,7 @@ TEST(KernelIsa, EnvAvx2HonouredOrFallsBack) {
 
 TEST(KernelIsa, EnvAvx512HonouredOrFallsBackDownTheLadder) {
   env_isa_guard guard;
-  ::setenv("DCMESH_KERNEL_ISA", "AVX512", 1);  // case-insensitive
+  env_set("DCMESH_KERNEL_ISA", "AVX512");  // case-insensitive
   detail::set_kernel_isa(std::nullopt);
   if (detail::avx512_kernels_available()) {
     EXPECT_EQ(detail::active_kernel_isa(), detail::kernel_isa::avx512);
@@ -598,17 +600,17 @@ TEST(KernelIsa, EnvAvx512HonouredOrFallsBackDownTheLadder) {
 
 TEST(KernelIsa, MalformedEnvFallsBackToAuto) {
   env_isa_guard guard;
-  ::setenv("DCMESH_KERNEL_ISA", "sse9", 1);
+  env_set("DCMESH_KERNEL_ISA", "sse9");
   detail::set_kernel_isa(std::nullopt);
   const detail::kernel_isa malformed = detail::active_kernel_isa();
-  ::setenv("DCMESH_KERNEL_ISA", "auto", 1);
+  env_set("DCMESH_KERNEL_ISA", "auto");
   detail::set_kernel_isa(std::nullopt);
   EXPECT_EQ(malformed, detail::active_kernel_isa());
 }
 
 TEST(KernelIsa, InProcessOverrideWinsOverEnv) {
   env_isa_guard guard;
-  ::setenv("DCMESH_KERNEL_ISA", "scalar", 1);
+  env_set("DCMESH_KERNEL_ISA", "scalar");
   detail::set_kernel_isa(detail::kernel_isa::scalar);
   EXPECT_EQ(detail::active_kernel_isa(), detail::kernel_isa::scalar);
   EXPECT_EQ(detail::kernel_isa_name(detail::kernel_isa::scalar), "scalar");

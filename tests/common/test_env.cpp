@@ -1,6 +1,7 @@
 // Unit tests for environment-variable helpers (the paper's control plane).
 
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/knobs.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,14 +24,11 @@ TEST(Env, EmptyValueReadsAsUnset) {
 }
 
 TEST(Env, IntParsing) {
-  env_set("DCMESH_TEST_INT", "2");
-  EXPECT_EQ(env_get_int("DCMESH_TEST_INT", 0), 2);
-  env_set("DCMESH_TEST_INT", "-7");
-  EXPECT_EQ(env_get_int("DCMESH_TEST_INT", 0), -7);
-  env_set("DCMESH_TEST_INT", "not_a_number");
-  EXPECT_EQ(env_get_int("DCMESH_TEST_INT", 42), 42);
-  env_unset("DCMESH_TEST_INT");
-  EXPECT_EQ(env_get_int("DCMESH_TEST_INT", 13), 13);
+  // The knob table's integer grammar: the whole text, base 10.
+  EXPECT_EQ(parse_integer("2"), 2);
+  EXPECT_EQ(parse_integer("-7"), -7);
+  EXPECT_EQ(parse_integer("not_a_number"), std::nullopt);
+  EXPECT_EQ(parse_integer("4x"), std::nullopt);
 }
 
 TEST(Env, ToUpper) {

@@ -178,6 +178,41 @@ TEST(SweepTest, EnvAxisValuesMayContainEqualsSigns) {
   EXPECT_EQ(runs[0].env[0].second, "lfd/*=auto");
 }
 
+TEST(SweepTest, EnvAxesAreExactlyTheKnobTable) {
+  sweep_spec spec;
+  spec.base = core::preset(core::paper_system::tiny);
+  // A misspelt knob used to run the same cell twice without complaint; it
+  // now fails at expansion, as an unknown deck key does.
+  add_axis(spec, "DCMESH_HEALHT=full,off");
+  EXPECT_TRUE(spec.axes[0].is_env);
+  EXPECT_THROW((void)expand(spec), std::runtime_error);
+}
+
+TEST(SweepTest, EnvAxisValuesAreCheckedByTheirKnobsGrammar) {
+  for (const char* axis :
+       {"DCMESH_HEALTH=full,loud", "MKL_BLAS_COMPUTE_MODE=STANDARD,BF17",
+        "DCMESH_SCHED=pool:0", "DCMESH_BLAS_POLICY=no-equals-sign",
+        "MKL_NUM_THREADS=4x", "DCMESH_FARM_KILL=run-*:soon"}) {
+    sweep_spec spec;
+    spec.base = core::preset(core::paper_system::tiny);
+    add_axis(spec, axis);
+    EXPECT_THROW((void)expand(spec), std::runtime_error) << axis;
+  }
+}
+
+TEST(SweepTest, OmpNumThreadsIsALegalEnvAxis) {
+  sweep_spec spec;
+  spec.base = core::preset(core::paper_system::tiny);
+  add_axis(spec, "OMP_NUM_THREADS=1,2");
+  add_axis(spec, "dcmesh_health=full");  // env keys take the table's case
+  const auto runs = expand(spec);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1].tag, "OMP_NUM_THREADS=2,DCMESH_HEALTH=full");
+  ASSERT_EQ(runs[1].env.size(), 2u);
+  EXPECT_EQ(runs[1].env[0].first, "OMP_NUM_THREADS");
+  EXPECT_EQ(runs[1].env[1].first, "DCMESH_HEALTH");
+}
+
 // ----------------------------------------------------------- manifest ---
 
 TEST(ManifestTest, LineRoundTripsAndChecksumRejectsTampering) {

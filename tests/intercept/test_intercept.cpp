@@ -25,6 +25,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "dcmesh/common/env.hpp"
+
 namespace {
 
 const char* shim_path() {
@@ -328,7 +330,7 @@ TEST(Intercept, SingleSiteModeCollapsesAllSites) {
   ASSERT_NE(gemm, nullptr);
   ASSERT_NE(mode, nullptr);
 
-  ::setenv("DCMESH_INTERCEPT_SITE_MODE", "single", 1);
+  dcmesh::env_set("DCMESH_INTERCEPT_SITE_MODE", "single");
   EXPECT_STREQ(mode(), "single");
   poke_site_a(gemm);
   const std::string site_a = shim_last_site();
@@ -336,15 +338,20 @@ TEST(Intercept, SingleSiteModeCollapsesAllSites) {
   const std::string site_b = shim_last_site();
   EXPECT_EQ(site_a, "intercept/app");
   EXPECT_EQ(site_b, "intercept/app");
-  ::unsetenv("DCMESH_INTERCEPT_SITE_MODE");
+  dcmesh::env_unset("DCMESH_INTERCEPT_SITE_MODE");
 }
 
 TEST(Intercept, SymbolSiteModeNamesTheCaller) {
   ASSERT_NE(shim_handle(), nullptr);
   auto gemm = shim_sym<sgemm_fn>("cblas_sgemm");
+  auto mode = shim_sym<str_fn>("dcmesh_intercept_site_mode");
   ASSERT_NE(gemm, nullptr);
+  ASSERT_NE(mode, nullptr);
 
   ::setenv("DCMESH_INTERCEPT_SITE_MODE", "symbol", 1);
+  // The shim's own knob cache sees a host's setenv through its
+  // introspection call.
+  EXPECT_STREQ(mode(), "symbol");
   poke_site_a(gemm);
   const std::string site = shim_last_site();
   ::unsetenv("DCMESH_INTERCEPT_SITE_MODE");
@@ -426,11 +433,15 @@ TEST(Intercept, ChainWithoutNextBlasFallsBackToEngine) {
   // The shim was dlopen'd LAST, so dlsym(RTLD_NEXT, "cblas_sgemm") from
   // inside it finds nothing: the chain must fall back to the engine and
   // the call must still compute correctly.
+  auto chain = shim_sym<int_fn>("dcmesh_intercept_chain");
+  ASSERT_NE(chain, nullptr);
   ::setenv("DCMESH_INTERCEPT_CHAIN", "1", 1);
+  EXPECT_EQ(chain(), 1);  // hands the new value to the shim's knob cache
   const unsigned long long before = count();
   poke_site_a(gemm);
   EXPECT_EQ(count(), before + 1);
   ::unsetenv("DCMESH_INTERCEPT_CHAIN");
+  EXPECT_EQ(chain(), 0);
 }
 
 // ---------------------------------------------------------------------
