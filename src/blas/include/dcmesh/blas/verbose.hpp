@@ -14,10 +14,13 @@
 // prefix unchanged (extra fields are appended after it), and a
 // machine-readable JSONL sink mirrors every record to the file named by
 // MKL_VERBOSE_JSON, one JSON object per line.  Before its first printed
-// record a process prints one DCMESH_CONFIG line: every knob set in its
-// environment, so a run's stderr records the configuration it ran with.
+// line, a call record or a health event, a process prints one DCMESH_CONFIG
+// line: every knob set in its environment, so a run's stderr records the
+// configuration it ran with.
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "dcmesh/blas/compute_mode.hpp"
 #include "dcmesh/blas/precision_policy.hpp"
 #include "dcmesh/common/knobs.hpp"
+#include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::blas {
 
@@ -78,6 +82,8 @@ struct call_record {
   std::int64_t ldb = 0;
   std::int64_t ldc = 0;
   double seconds = 0.0;        ///< Wall time of the call on this host.
+  /// When the call started: the span's ts.
+  std::chrono::steady_clock::time_point start{};
   double flops = 0.0;          ///< Nominal standard-arithmetic flop count.
   compute_mode mode = compute_mode::standard;  ///< Final effective mode.
 
@@ -103,6 +109,20 @@ struct call_record {
   /// Checksum-guard outcome (none unless ABFT resolved != off).
   abft_verdict abft = abft_verdict::none;
 
+  /// Size of the batched call this record is one element of (0 = a
+  /// standalone call).  Not rendered; an element emits no span, since its
+  /// batch emits one (detail::record_batch).
+  std::int64_t batch = 0;
+
+  /// Stamp `start` now.
+  void start_clock() { start = std::chrono::steady_clock::now(); }
+  /// Set `seconds` to the time since start_clock().
+  void stop_clock() {
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
+  }
+
   /// Render in the MKL_VERBOSE line format.  The prefix through "mode:" is
   /// byte-identical to the pre-policy format; " site:...", " src:...",
   /// " tune:..." and " fallback:..." are appended only when a site, an
@@ -114,11 +134,12 @@ struct call_record {
 };
 
 /// True when MKL_VERBOSE requests per-call lines (value >= 1).
-[[nodiscard]] bool verbose_enabled();
+using trace::verbose_enabled;
 
-/// Append a record to the in-process log (always) and print it when
-/// verbose_enabled(), the process's first printed record preceded by
-/// config_line().  Thread-safe.
+/// Fan one call out to every sink: its span when tracing (none for a batch
+/// element), its text line when verbose_enabled(), its JSON line when
+/// MKL_VERBOSE_JSON is set, the metrics registry and the in-process log
+/// (always).  Thread-safe.
 void record_call(call_record record);
 
 /// Canonical text of `text` as a value of knob `k`, nullopt when malformed:
@@ -134,11 +155,11 @@ void record_call(call_record record);
 /// Snapshot of the most recent calls, oldest first (bounded history).
 [[nodiscard]] std::vector<call_record> recent_calls();
 
+/// The most recent call; nullopt when none is recorded.
+[[nodiscard]] std::optional<call_record> last_call();
+
 /// Total number of calls recorded since start/clear.
 [[nodiscard]] std::uint64_t call_count();
-
-/// Aggregate wall seconds across all recorded calls since start/clear.
-[[nodiscard]] double total_call_seconds();
 
 /// Reset the log and counters.
 void clear_call_log();

@@ -471,19 +471,15 @@ int dcmesh_set_num_threads(int threads) {
 uint64_t dcmesh_call_count(void) { return blas::call_count(); }
 
 int dcmesh_last_call_site(char* buf, size_t cap) {
-  const auto calls = blas::recent_calls();
-  if (calls.empty()) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "no call recorded yet");
-  }
-  return copy_out(calls.back().call_site, buf, cap);
+  const auto last = blas::last_call();
+  if (!last) return fail(DCMESH_ERR_INVALID_ARGUMENT, "no call recorded yet");
+  return copy_out(last->call_site, buf, cap);
 }
 
 int dcmesh_last_call_mode(char* buf, size_t cap) {
-  const auto calls = blas::recent_calls();
-  if (calls.empty()) {
-    return fail(DCMESH_ERR_INVALID_ARGUMENT, "no call recorded yet");
-  }
-  return copy_out(blas::info(calls.back().mode).env_token, buf, cap);
+  const auto last = blas::last_call();
+  if (!last) return fail(DCMESH_ERR_INVALID_ARGUMENT, "no call recorded yet");
+  return copy_out(blas::info(last->mode).env_token, buf, cap);
 }
 
 int dcmesh_metrics_report(char* buf, size_t cap) {

@@ -2,12 +2,11 @@
 // dispatch_internal.hpp — the dispatcher's resolve/execute split, shared
 // with the batched entry point.
 //
-// run(gemm_call<T>) is plan_call() followed by run_planned().  The batched
-// path needs the two halves separately: it plans ONCE for the whole batch
-// (so an `auto` rule costs one tuner resolution per batched call, not one
-// per element) and owns the single trace span covering the batch, while
-// each element still executes — and is verbose-logged — through
-// run_planned() with span emission suppressed.
+// run(gemm_call<T>) is record_call(run_planned(call, plan_call(call))).
+// The batched path needs the halves separately: it plans ONCE for the
+// whole batch (so an `auto` rule costs one tuner resolution per batched
+// call, not one per element), records each element's record as a batch
+// element (no span), and emits the batch's one span through record_batch.
 
 #include <complex>
 #include <type_traits>
@@ -15,6 +14,7 @@
 #include "dcmesh/blas/autotune_hook.hpp"
 #include "dcmesh/blas/gemm_call.hpp"
 #include "dcmesh/blas/precision_policy.hpp"
+#include "dcmesh/blas/verbose.hpp"
 
 namespace dcmesh::blas::detail {
 
@@ -69,27 +69,15 @@ struct call_plan {
 template <typename T>
 [[nodiscard]] call_plan plan_call(const gemm_call<T>& call);
 
-/// Execute one descriptor under an already-resolved plan.  emit_span=false
-/// suppresses the per-call trace span (the batched path owns the span);
-/// the verbose record and metrics are emitted either way.
+/// Execute one descriptor under an already-resolved plan; returns its
+/// record (start stamp, seconds, verdicts) for record_call.
 template <typename T>
-void run_planned(const gemm_call<T>& call, const call_plan& plan,
-                 bool emit_span);
+[[nodiscard]] call_record run_planned(const gemm_call<T>& call,
+                                      const call_plan& plan);
 
-extern template call_plan plan_call<float>(const gemm_call<float>&);
-extern template call_plan plan_call<double>(const gemm_call<double>&);
-extern template call_plan plan_call<std::complex<float>>(
-    const gemm_call<std::complex<float>>&);
-extern template call_plan plan_call<std::complex<double>>(
-    const gemm_call<std::complex<double>>&);
-
-extern template void run_planned<float>(const gemm_call<float>&,
-                                        const call_plan&, bool);
-extern template void run_planned<double>(const gemm_call<double>&,
-                                         const call_plan&, bool);
-extern template void run_planned<std::complex<float>>(
-    const gemm_call<std::complex<float>>&, const call_plan&, bool);
-extern template void run_planned<std::complex<double>>(
-    const gemm_call<std::complex<double>>&, const call_plan&, bool);
+/// Emit the one "gemm_batch" span of a batched call.  `summary` is its
+/// first element's record with the batch's start, seconds, total flops and
+/// `batch` set.
+void record_batch(const call_record& summary);
 
 }  // namespace dcmesh::blas::detail

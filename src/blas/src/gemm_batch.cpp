@@ -1,23 +1,22 @@
 #include "dcmesh/blas/gemm_batch.hpp"
 
-#include <optional>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
 #include "dcmesh/blas/gemm_call.hpp"
-#include "dcmesh/trace/tracer.hpp"
+#include "dcmesh/blas/verbose.hpp"
 #include "dispatch_internal.hpp"
 
 namespace dcmesh::blas {
-namespace {
 
 template <typename T>
-void run_batch(transpose transa, transpose transb, blas_int m, blas_int n,
-               blas_int k, T alpha, const T* a, blas_int lda,
-               blas_int stride_a, const T* b, blas_int ldb,
-               blas_int stride_b, T beta, T* c, blas_int ldc,
-               blas_int stride_c, blas_int batch,
-               std::string_view call_site) {
+void gemm_batch_strided(transpose transa, transpose transb, blas_int m,
+                        blas_int n, blas_int k, T alpha, const T* a,
+                        blas_int lda, blas_int stride_a, const T* b,
+                        blas_int ldb, blas_int stride_b, T beta, T* c,
+                        blas_int ldc, blas_int stride_c, blas_int batch,
+                        std::string_view call_site) {
   if (batch < 0) throw std::invalid_argument("gemm_batch: negative batch");
   // Each batch entry dispatches like a standalone gemm, so under a split
   // mode every entry runs the fused pack-once engine; the per-thread
@@ -58,48 +57,24 @@ void run_batch(transpose transa, transpose transb, blas_int m, blas_int n,
   call.call_site = call_site;
   const detail::call_plan plan = detail::plan_call(call);
 
-  // One trace span covers the whole batched call (not one per element);
-  // flops is the batch total so timeline throughput stays truthful.
-  std::optional<trace::span> span;
-  if (trace::tracer::instance().enabled()) {
-    span.emplace(call_site.empty()
-                     ? std::string(detail::gemm_traits<T>::routine) +
-                           "_BATCH"
-                     : std::string(call_site),
-                 "gemm_batch");
-    span->arg("routine", detail::gemm_traits<T>::routine);
-    span->arg("batch", static_cast<std::int64_t>(batch));
-    span->arg("m", static_cast<std::int64_t>(m));
-    span->arg("n", static_cast<std::int64_t>(n));
-    span->arg("k", static_cast<std::int64_t>(k));
-    span->arg("flops",
-              static_cast<double>(batch) *
-                  gemm_flops(detail::gemm_traits<T>::is_complex, m, n, k));
-    span->arg("mode", info(plan.res.mode).env_token);
-    if (plan.tune != auto_provenance::none) {
-      span->arg("tune", name(plan.tune));
-    }
-  }
-
+  // The whole batch is one span (batch-total flops, so timeline
+  // throughput stays truthful); its elements emit none.
+  const auto start = std::chrono::steady_clock::now();
+  call_record summary;
   for (blas_int i = 0; i < batch; ++i) {
     call.a = a + i * stride_a;
     call.b = b + i * stride_b;
     call.c = c + i * stride_c;
-    detail::run_planned(call, plan, /*emit_span=*/false);
+    call_record element = detail::run_planned(call, plan);
+    element.batch = batch;
+    if (i == 0) summary = element;
+    record_call(std::move(element));
   }
-}
-
-}  // namespace
-
-template <typename T>
-void gemm_batch_strided(transpose transa, transpose transb, blas_int m,
-                        blas_int n, blas_int k, T alpha, const T* a,
-                        blas_int lda, blas_int stride_a, const T* b,
-                        blas_int ldb, blas_int stride_b, T beta, T* c,
-                        blas_int ldc, blas_int stride_c, blas_int batch,
-                        std::string_view call_site) {
-  run_batch<T>(transa, transb, m, n, k, alpha, a, lda, stride_a, b, ldb,
-               stride_b, beta, c, ldc, stride_c, batch, call_site);
+  if (batch == 0) return;
+  summary.start = start;
+  summary.stop_clock();
+  summary.flops *= static_cast<double>(batch);
+  detail::record_batch(summary);
 }
 
 #define DCMESH_INSTANTIATE_GEMM_BATCH(T)                                   \

@@ -19,7 +19,8 @@
 //   4. guard     sampled residual against a standard reference
 //   5. fault     an output-space fault lands on the settled result
 //   6. verify    ABFT checksums under a per-mode τ, then the finite scan
-//   7. record    copy the bordered interior back, span, verbose record
+//   7. record    copy the bordered interior back; the caller hands the
+//                returned record to record_call, the one sink path
 //
 // Each check returns clean, located(i,j,δ) or dirty, and one routine,
 // escalate(), handles a failed check by its tier's row:
@@ -37,7 +38,6 @@
 // the C snapshot to the copy-back, so record.seconds includes every check
 // and re-run of every tier.
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -54,7 +54,6 @@
 #include "dcmesh/resil/health.hpp"
 #include "dcmesh/resil/promotion.hpp"
 #include "dcmesh/trace/metrics.hpp"
-#include "dcmesh/trace/tracer.hpp"
 #include "dispatch_internal.hpp"
 #include "gemm_kernel.hpp"
 #include "gemm_modes.hpp"
@@ -569,8 +568,7 @@ call_plan plan_call(const gemm_call<T>& call) {
 }
 
 template <typename T>
-void run_planned(const gemm_call<T>& call, const call_plan& plan,
-                 bool emit_span) {
+call_record run_planned(const gemm_call<T>& call, const call_plan& plan) {
   // ---- 1. validate: the only check of the argument contract before any
   // copy reads through lda/ldb/ldc.
   validate_gemm_args(call.transa, call.transb, call.m, call.n, call.k,
@@ -608,13 +606,6 @@ void run_planned(const gemm_call<T>& call, const call_plan& plan,
       dims_ok ? resil::next_fault(site) : std::nullopt;
   const bool input_hit = hit && resil::is_input_fault(hit->kind);
 
-  // One span per GEMM, named by the call-site tag so the Chrome timeline
-  // groups by site; inert (nullopt stays cheap) when tracing is off.
-  std::optional<trace::span> span;
-  if (emit_span && trace::tracer::instance().enabled()) {
-    span.emplace(std::string(site), "gemm");
-  }
-
   call_record record;
   record.routine = gemm_traits<T>::routine;
   record.transa = static_cast<char>(call.transa);
@@ -632,7 +623,7 @@ void run_planned(const gemm_call<T>& call, const call_plan& plan,
   record.requested_mode = requested;
   record.tune = plan.tune;
 
-  const auto start = std::chrono::steady_clock::now();
+  record.start_clock();
   call_pipeline<T> p{call, abft != resil::abft_mode::off, site, requested};
   if ((guard || scan) && !p.bordered && call.beta != T(0)) {
     materialize<T>({call.c, call.ldc, transpose::none}, call.m, call.n,
@@ -701,44 +692,10 @@ void run_planned(const gemm_call<T>& call, const call_plan& plan,
 
   // ---- 7. record.
   if (p.bordered) copy_view(p.result(), {call.c, call.ldc, call.m, call.n});
-  record.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+  record.stop_clock();
   record.mode = p.mode;
   record.attempts = p.attempts;
-
-  if (span) {
-    span->arg("routine", gemm_traits<T>::routine);
-    span->arg("m", static_cast<std::int64_t>(call.m));
-    span->arg("n", static_cast<std::int64_t>(call.n));
-    span->arg("k", static_cast<std::int64_t>(call.k));
-    span->arg("flops", record.flops);
-    span->arg("mode", info(record.mode).env_token);
-    if (plan.tune != auto_provenance::none) {
-      span->arg("tune", name(plan.tune));
-    }
-    if (record.fallback != fallback_verdict::none) {
-      span->arg("fallback", name(record.fallback));
-    }
-    if (!record.fault.empty()) {
-      span->arg("fault", record.fault);
-    }
-    if (record.health == health_verdict::detected ||
-        record.health == health_verdict::recovered) {
-      span->arg("health", name(record.health));
-    }
-    if (record.abft != abft_verdict::none &&
-        record.abft != abft_verdict::checked) {
-      span->arg("abft", name(record.abft));
-    }
-    // Measured-vs-modeled: annotate with the xehpc roofline's predicted
-    // device time when core has installed the model hook.
-    const double predicted = trace::predicted_gemm_seconds(
-        {call.m, call.n, call.k, gemm_traits<T>::is_complex,
-         gemm_traits<T>::is_fp64, info(record.mode).env_token});
-    if (predicted >= 0.0) span->arg("predicted_us", predicted * 1e6);
-  }
-  record_call(std::move(record));
+  return record;
 }
 
 template call_plan plan_call<float>(const gemm_call<float>&);
@@ -748,20 +705,20 @@ template call_plan plan_call<std::complex<float>>(
 template call_plan plan_call<std::complex<double>>(
     const gemm_call<std::complex<double>>&);
 
-template void run_planned<float>(const gemm_call<float>&, const call_plan&,
-                                 bool);
-template void run_planned<double>(const gemm_call<double>&,
-                                  const call_plan&, bool);
-template void run_planned<std::complex<float>>(
-    const gemm_call<std::complex<float>>&, const call_plan&, bool);
-template void run_planned<std::complex<double>>(
-    const gemm_call<std::complex<double>>&, const call_plan&, bool);
+template call_record run_planned<float>(const gemm_call<float>&,
+                                       const call_plan&);
+template call_record run_planned<double>(const gemm_call<double>&,
+                                        const call_plan&);
+template call_record run_planned<std::complex<float>>(
+    const gemm_call<std::complex<float>>&, const call_plan&);
+template call_record run_planned<std::complex<double>>(
+    const gemm_call<std::complex<double>>&, const call_plan&);
 
 }  // namespace detail
 
 template <typename T>
 void run(const gemm_call<T>& call) {
-  detail::run_planned(call, detail::plan_call(call), true);
+  record_call(detail::run_planned(call, detail::plan_call(call)));
 }
 
 template void run<float>(const gemm_call<float>&);

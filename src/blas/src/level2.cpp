@@ -1,6 +1,5 @@
 #include "dcmesh/blas/level2.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "dcmesh/blas/verbose.hpp"
@@ -102,29 +101,23 @@ void gemv(transpose trans, blas_int m, blas_int n, T alpha, const T* a,
           blas_int incy, std::string_view call_site) {
   validate_gemv<T>(m, n, lda, incx, incy);
 
-  const auto start = std::chrono::steady_clock::now();
-  gemv_apply(trans, m, n, alpha, a, lda, x, incx, beta, y, incy);
-  const auto stop = std::chrono::steady_clock::now();
-
   // Level 2 never changes arithmetic under compute modes, but interposed
   // projections/contractions belong in the per-site attribution exactly
   // like trsm/syrk: one record per call, mode fixed at standard.
   call_record record;
   record.routine = gemv_traits<T>::routine;
   record.transa = static_cast<char>(trans);
-  record.transb = 'N';
   record.m = m;
   record.n = n;
-  record.k = 0;
   record.lda = lda;
   record.ldb = incx;
   record.ldc = incy;
-  record.seconds = std::chrono::duration<double>(stop - start).count();
   record.flops = (gemv_traits<T>::is_complex ? 8.0 : 2.0) * double(m) *
                  double(n);
-  record.mode = compute_mode::standard;
   record.call_site = std::string(call_site);
-  record.requested_mode = compute_mode::standard;
+  record.start_clock();
+  gemv_apply(trans, m, n, alpha, a, lda, x, incx, beta, y, incy);
+  record.stop_clock();
   record_call(std::move(record));
 }
 

@@ -1,6 +1,5 @@
 #include "dcmesh/blas/trsm.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "dcmesh/blas/verbose.hpp"
@@ -145,10 +144,6 @@ void trsm(side s, uplo u, transpose trans, diag d, blas_int m, blas_int n,
   }
   if (m == 0 || n == 0) return;
 
-  const auto start = std::chrono::steady_clock::now();
-  trsm_solve(s, u, trans, d, m, n, alpha, a, lda, b, ldb);
-  const auto stop = std::chrono::steady_clock::now();
-
   // Triangular solves never change arithmetic under compute modes, but they
   // are part of the level-3 surface: time and log each one so per-site
   // attribution (MKL_VERBOSE / JSONL) covers the whole hot path.
@@ -162,12 +157,12 @@ void trsm(side s, uplo u, transpose trans, diag d, blas_int m, blas_int n,
   record.lda = lda;
   record.ldb = ldb;
   record.ldc = ldb;
-  record.seconds = std::chrono::duration<double>(stop - start).count();
   record.flops = trsm_flops(trsm_traits<T>::is_complex, order,
                             s == side::left ? n : m);
-  record.mode = compute_mode::standard;
   record.call_site = std::string(call_site);
-  record.requested_mode = compute_mode::standard;
+  record.start_clock();
+  trsm_solve(s, u, trans, d, m, n, alpha, a, lda, b, ldb);
+  record.stop_clock();
   record_call(std::move(record));
 }
 

@@ -1,6 +1,6 @@
 #include "dcmesh/blas/verbose.hpp"
 
-#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -13,28 +13,30 @@
 #include "dcmesh/sched/config.hpp"
 #include "dcmesh/trace/metrics.hpp"
 #include "dcmesh/trace/tracer.hpp"
+#include "dispatch_internal.hpp"
 
 namespace dcmesh::blas {
 namespace {
 
-/// Bytes of one element of the routine's type, from the BLAS prefix
-/// letter (SGEMM -> 4, DGEMM/CGEMM -> 8, ZGEMM -> 16).
-std::size_t element_bytes(std::string_view routine) noexcept {
-  if (routine.empty()) return 4;
-  switch (routine.front()) {
-    case 'D': case 'C': return 8;
-    case 'Z': return 16;
-    default: return 4;
-  }
+/// A record's shape as the roofline model reads it, complex and fp64 taken
+/// from the routine's BLAS prefix letter (S, D, C, Z).
+trace::gemm_model_query model_query(const call_record& record) {
+  const char type = record.routine.empty() ? 'S' : record.routine.front();
+  return {record.m, record.n, record.k, type == 'C' || type == 'Z',
+          type == 'D' || type == 'Z', info(record.mode).env_token};
 }
 
 constexpr std::size_t kMaxLogEntries = 16384;
 
 std::mutex g_log_mutex;
 std::deque<call_record> g_log;            // guarded by g_log_mutex
-std::atomic<std::uint64_t> g_call_count{0};
-std::mutex g_seconds_mutex;
-double g_total_seconds = 0.0;             // guarded by g_seconds_mutex
+std::uint64_t g_call_count = 0;           // guarded by g_log_mutex
+
+// The stderr writer (trace layer) prints config_line() ahead of its first
+// line; installed at load, so a health event ahead of the first record
+// has it too.
+[[maybe_unused]] const bool g_config_line_installed =
+    (trace::set_config_line(&config_line), true);
 
 // JSONL sink: lazily opened append stream, reopened when the env value
 // changes (tests point MKL_VERBOSE_JSON at per-case temp files).
@@ -69,6 +71,36 @@ void write_json_line(const call_record& record) {
     return;
   }
   g_json_stream << record.to_json() << '\n' << std::flush;
+}
+
+/// The record's span: ts = start, dur = seconds, named by the site
+/// (else the routine); args are the JSON line's members, plus `batch` for a
+/// batch and the roofline's predicted device time for one xGEMM.
+void emit_span(const call_record& record) {
+  const bool gemm = record.routine.ends_with("GEMM");
+  std::string name = record.call_site.empty() ? record.routine
+                                              : record.call_site;
+  std::string args = record.to_json();
+  args.pop_back();
+  args.erase(0, 1);
+  if (record.batch > 0) {
+    if (record.call_site.empty()) name += "_BATCH";
+    args += ",\"batch\":" + std::to_string(record.batch);
+  } else if (gemm) {
+    const double predicted =
+        trace::predicted_gemm_seconds(model_query(record));
+    if (predicted >= 0.0) {
+      char buffer[48];
+      std::snprintf(buffer, sizeof(buffer), ",\"predicted_us\":%.9g",
+                    predicted * 1e6);
+      args += buffer;
+    }
+  }
+  auto& tracer = trace::tracer::instance();
+  tracer.emit(name, record.batch > 0 ? "gemm_batch" : gemm ? "gemm" : "blas",
+              tracer.ns_at(record.start),
+              static_cast<std::uint64_t>(std::llround(record.seconds * 1e9)),
+              std::move(args));
 }
 
 }  // namespace
@@ -202,10 +234,6 @@ std::string call_record::to_json() const {
   return out;
 }
 
-bool verbose_enabled() {
-  return knob_value(knob::verbose, parse_integer).value_or(0) >= 1;
-}
-
 std::optional<std::string> render_knob(knob k, std::string_view text) {
   const auto accepted = [text](auto parse) -> std::optional<std::string> {
     try {
@@ -243,33 +271,29 @@ std::string config_line() {
 }
 
 void record_call(call_record record) {
-  if (verbose_enabled()) {
-    static std::once_flag config_once;
-    std::call_once(config_once, [] {
-      std::fprintf(stderr, "%s\n", config_line().c_str());
-    });
-    std::fprintf(stderr, "%s\n", record.to_string().c_str());
+  if (record.batch == 0 && trace::tracer::instance().enabled()) {
+    emit_span(record);
   }
+  if (verbose_enabled()) trace::write_verbose_line(record.to_string());
   write_json_line(record);
-  // Feed the per-site counter registry: operand traffic is A + B plus C
-  // read and written (the roofline's streaming assumption).
-  const double bytes = gemm_bytes(record.m, record.n, record.k,
-                                  element_bytes(record.routine));
-  trace::record_gemm_metrics(record.call_site, record.routine,
-                             info(record.mode).env_token, record.flops,
-                             bytes, record.seconds,
-                             record.fallback == fallback_verdict::promoted,
-                             record.tune == auto_provenance::none
-                                 ? std::string_view{}
-                                 : name(record.tune));
-  g_call_count.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(g_seconds_mutex);
-    g_total_seconds += record.seconds;
-  }
+  // Operand traffic is A + B plus C read and written (the roofline's
+  // streaming assumption).
+  const trace::gemm_model_query shape = model_query(record);
+  trace::record_gemm_metrics(
+      record.call_site, record.routine, shape.mode_token, record.flops,
+      gemm_bytes(record.m, record.n, record.k,
+                 (shape.is_fp64 ? 8 : 4) * (shape.is_complex ? 2 : 1)),
+      record.seconds, record.fallback == fallback_verdict::promoted,
+      record.tune == auto_provenance::none ? std::string_view{}
+                                           : name(record.tune));
   std::lock_guard lock(g_log_mutex);
+  ++g_call_count;
   g_log.push_back(std::move(record));
   if (g_log.size() > kMaxLogEntries) g_log.pop_front();
+}
+
+void detail::record_batch(const call_record& summary) {
+  if (trace::tracer::instance().enabled()) emit_span(summary);
 }
 
 std::vector<call_record> recent_calls() {
@@ -277,25 +301,21 @@ std::vector<call_record> recent_calls() {
   return {g_log.begin(), g_log.end()};
 }
 
-std::uint64_t call_count() {
-  return g_call_count.load(std::memory_order_relaxed);
+std::optional<call_record> last_call() {
+  std::lock_guard lock(g_log_mutex);
+  if (g_log.empty()) return std::nullopt;
+  return g_log.back();
 }
 
-double total_call_seconds() {
-  std::lock_guard lock(g_seconds_mutex);
-  return g_total_seconds;
+std::uint64_t call_count() {
+  std::lock_guard lock(g_log_mutex);
+  return g_call_count;
 }
 
 void clear_call_log() {
-  {
-    std::lock_guard lock(g_log_mutex);
-    g_log.clear();
-  }
-  {
-    std::lock_guard lock(g_seconds_mutex);
-    g_total_seconds = 0.0;
-  }
-  g_call_count.store(0, std::memory_order_relaxed);
+  std::lock_guard lock(g_log_mutex);
+  g_log.clear();
+  g_call_count = 0;
 }
 
 }  // namespace dcmesh::blas

@@ -70,8 +70,9 @@ struct invariant_limits {
 /// Record one structured health event: bumps the metrics-registry counter
 /// for `kind`, emits a zero-duration "health" trace event (site/detail as
 /// args) when tracing is enabled, and prints one stderr line when
-/// MKL_VERBOSE >= 1.  Kinds used by the subsystem: "inject", "detect",
-/// "recover", "unrecovered", "step_invariant", "rollback", "promote".
+/// MKL_VERBOSE >= 1, through the writers BLAS call records use.  Kinds
+/// used by the subsystem: "inject", "detect", "recover", "unrecovered",
+/// "step_invariant", "rollback", "promote".
 void record_health_event(std::string_view kind, std::string_view site,
                          std::string_view detail);
 

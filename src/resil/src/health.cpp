@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "dcmesh/common/env.hpp"
@@ -84,22 +83,17 @@ void record_health_event(std::string_view kind, std::string_view site,
   trace::record_health_counter(kind);
   auto& collector = trace::tracer::instance();
   if (collector.enabled()) {
-    trace::trace_event event;
-    event.name = std::string(kind);
-    event.category = "health";
-    event.ts_ns = collector.now_ns();
-    event.dur_ns = 0;
-    event.args_json = "\"site\":\"";
-    trace::append_json_escaped(event.args_json, site);
-    event.args_json += "\",\"detail\":\"";
-    trace::append_json_escaped(event.args_json, detail);
-    event.args_json += "\"";
-    collector.record(std::move(event));
+    std::string args = "\"site\":\"";
+    trace::append_json_escaped(args, site);
+    args += "\",\"detail\":\"";
+    trace::append_json_escaped(args, detail);
+    args += '"';
+    collector.emit(kind, "health", collector.now_ns(), 0, std::move(args));
   }
-  if (knob_value(knob::verbose, parse_integer).value_or(0) >= 1) {
-    std::fprintf(stderr, "DCMESH_RESIL %s site=%s %s\n",
-                 std::string(kind).c_str(), std::string(site).c_str(),
-                 std::string(detail).c_str());
+  if (trace::verbose_enabled()) {
+    trace::write_verbose_line("DCMESH_RESIL " + std::string(kind) +
+                              " site=" + std::string(site) + ' ' +
+                              std::string(detail));
   }
 }
 

@@ -22,7 +22,12 @@
 // predicted device time when a model has been installed through
 // set_gemm_time_model() — trace cannot depend on xehpc (or blas), so the
 // model arrives as an opaque callback over plain scalars.
+//
+// The stderr sink lives here too: write_verbose_line() prints every
+// MKL_VERBOSE call line and DCMESH_RESIL health line, so the DCMESH_CONFIG
+// line can lead whichever comes first.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -65,8 +70,18 @@ class tracer {
   /// Monotonic nanoseconds since the tracer epoch.
   [[nodiscard]] std::uint64_t now_ns() const;
 
+  /// Nanoseconds from the tracer epoch to `t` (0 for a time before it).
+  [[nodiscard]] std::uint64_t ns_at(
+      std::chrono::steady_clock::time_point t) const;
+
   /// Append one completed event to the calling thread's buffer.
   void record(trace_event event);
+
+  /// record() one event built from its parts: the one emitter behind
+  /// BLAS call spans and health instants (dur_ns 0).  Callers check
+  /// enabled() first, so a silent run renders no args.
+  void emit(std::string_view name, std::string_view category,
+            std::uint64_t ts_ns, std::uint64_t dur_ns, std::string args_json);
 
   /// Merged copy of all buffers (per-thread order preserved).
   [[nodiscard]] std::vector<trace_event> snapshot() const;
@@ -136,6 +151,19 @@ void set_gemm_time_model(std::function<double(const gemm_model_query&)> fn);
 
 /// Evaluate the installed model; negative when none is installed.
 [[nodiscard]] double predicted_gemm_seconds(const gemm_model_query& query);
+
+/// True when MKL_VERBOSE >= 1: BLAS-call and health lines go to stderr.
+[[nodiscard]] bool verbose_enabled();
+
+/// Print `line` to stderr, the process's first such line preceded by the
+/// DCMESH_CONFIG line (set_config_line).  The one writer of MKL_VERBOSE and
+/// DCMESH_RESIL lines; callers check verbose_enabled() first.  Thread-safe.
+void write_verbose_line(std::string_view line);
+
+/// Install the renderer of the DCMESH_CONFIG line.  blas installs its
+/// config_line() at load: the policy, fault-plan and sched grammars it
+/// renders with live above this layer.
+void set_config_line(std::string (*render)());
 
 /// Append `s` to `out` with JSON string escaping (no surrounding quotes).
 void append_json_escaped(std::string& out, std::string_view s);

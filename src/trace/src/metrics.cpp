@@ -7,14 +7,48 @@
 namespace dcmesh::trace {
 namespace {
 
+using counts = std::map<std::string, std::uint64_t, std::less<>>;
+
+void bump(counts& map, std::string_view key, std::uint64_t delta) {
+  const auto it = map.find(key);
+  if (it == map.end()) {
+    map.emplace(std::string(key), delta);
+  } else {
+    it->second += delta;
+  }
+}
+
 std::mutex g_mutex;
 std::map<std::string, gemm_site_counters, std::less<>> g_sites;
 
-std::mutex g_health_mutex;
-std::map<std::string, std::uint64_t, std::less<>> g_health;
+/// Additive counters keyed by kind: the health and sched families.
+class counter_family {
+ public:
+  void add(std::string_view kind, std::uint64_t delta) {
+    std::lock_guard lock(mutex_);
+    bump(counts_, kind, delta);
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> snapshot() const {
+    std::lock_guard lock(mutex_);
+    return {counts_.begin(), counts_.end()};
+  }
+  std::uint64_t get(std::string_view kind) const {
+    std::lock_guard lock(mutex_);
+    const auto it = counts_.find(kind);
+    return it == counts_.end() ? 0 : it->second;
+  }
+  void clear() {
+    std::lock_guard lock(mutex_);
+    counts_.clear();
+  }
 
-std::mutex g_sched_mutex;
-std::map<std::string, std::uint64_t, std::less<>> g_sched;
+ private:
+  mutable std::mutex mutex_;
+  counts counts_;  // guarded by mutex_
+};
+
+counter_family g_health;
+counter_family g_sched;
 
 }  // namespace
 
@@ -36,20 +70,8 @@ void record_gemm_metrics(std::string_view site, std::string_view routine,
   counters.bytes += bytes;
   counters.seconds += seconds;
   if (promoted) ++counters.fallback_promotions;
-  auto it = counters.mode_calls.find(mode_token);
-  if (it == counters.mode_calls.end()) {
-    counters.mode_calls.emplace(std::string(mode_token), 1);
-  } else {
-    ++it->second;
-  }
-  if (!tune_token.empty()) {
-    auto tune_it = counters.tune_calls.find(tune_token);
-    if (tune_it == counters.tune_calls.end()) {
-      counters.tune_calls.emplace(std::string(tune_token), 1);
-    } else {
-      ++tune_it->second;
-    }
-  }
+  bump(counters.mode_calls, mode_token, 1);
+  if (!tune_token.empty()) bump(counters.tune_calls, tune_token, 1);
 }
 
 std::vector<std::pair<std::string, gemm_site_counters>> gemm_metrics() {
@@ -120,56 +142,28 @@ std::string gemm_metrics_report() {
   return os.str();
 }
 
-void record_health_counter(std::string_view kind) {
-  std::lock_guard lock(g_health_mutex);
-  auto it = g_health.find(kind);
-  if (it == g_health.end()) {
-    g_health.emplace(std::string(kind), 1);
-  } else {
-    ++it->second;
-  }
-}
+void record_health_counter(std::string_view kind) { g_health.add(kind, 1); }
 
 std::vector<std::pair<std::string, std::uint64_t>> health_counters() {
-  std::lock_guard lock(g_health_mutex);
-  return {g_health.begin(), g_health.end()};
+  return g_health.snapshot();
 }
 
 std::uint64_t health_counter(std::string_view kind) {
-  std::lock_guard lock(g_health_mutex);
-  const auto it = g_health.find(kind);
-  return it == g_health.end() ? 0 : it->second;
+  return g_health.get(kind);
 }
 
-void clear_health_counters() {
-  std::lock_guard lock(g_health_mutex);
-  g_health.clear();
-}
+void clear_health_counters() { g_health.clear(); }
 
 void record_sched_counter(std::string_view kind, std::uint64_t delta) {
-  std::lock_guard lock(g_sched_mutex);
-  auto it = g_sched.find(kind);
-  if (it == g_sched.end()) {
-    g_sched.emplace(std::string(kind), delta);
-  } else {
-    it->second += delta;
-  }
+  g_sched.add(kind, delta);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> sched_counters() {
-  std::lock_guard lock(g_sched_mutex);
-  return {g_sched.begin(), g_sched.end()};
+  return g_sched.snapshot();
 }
 
-std::uint64_t sched_counter(std::string_view kind) {
-  std::lock_guard lock(g_sched_mutex);
-  const auto it = g_sched.find(kind);
-  return it == g_sched.end() ? 0 : it->second;
-}
+std::uint64_t sched_counter(std::string_view kind) { return g_sched.get(kind); }
 
-void clear_sched_counters() {
-  std::lock_guard lock(g_sched_mutex);
-  g_sched.clear();
-}
+void clear_sched_counters() { g_sched.clear(); }
 
 }  // namespace dcmesh::trace

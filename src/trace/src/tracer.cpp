@@ -40,6 +40,8 @@ const char* trace_env_path() {
 std::mutex g_model_mutex;
 std::function<double(const gemm_model_query&)> g_model;  // guarded above
 
+std::atomic<std::string (*)()> g_config_line{nullptr};
+
 }  // namespace
 
 void append_json_escaped(std::string& out, std::string_view s) {
@@ -141,9 +143,13 @@ void tracer::set_enabled(bool on) {
 }
 
 std::uint64_t tracer::now_ns() const {
+  return ns_at(std::chrono::steady_clock::now());
+}
+
+std::uint64_t tracer::ns_at(std::chrono::steady_clock::time_point t) const {
+  if (t < impl_->epoch) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - impl_->epoch)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - impl_->epoch)
           .count());
 }
 
@@ -156,6 +162,13 @@ void tracer::record(trace_event event) {
   }
   event.tid = buffer->tid;
   buffer->events.push_back(std::move(event));
+}
+
+void tracer::emit(std::string_view name, std::string_view category,
+                  std::uint64_t ts_ns, std::uint64_t dur_ns,
+                  std::string args_json) {
+  record({std::string(name), std::string(category), ts_ns, dur_ns, 0,
+          std::move(args_json)});
 }
 
 std::vector<trace_event> tracer::snapshot() const {
@@ -290,6 +303,22 @@ void span::arg(std::string_view key, std::int64_t value) {
   event_.args_json += "\":";
   event_.args_json += std::to_string(value);
 }
+
+bool verbose_enabled() {
+  return knob_value(knob::verbose, parse_integer).value_or(0) >= 1;
+}
+
+void write_verbose_line(std::string_view line) {
+  static std::once_flag config_once;
+  std::call_once(config_once, [] {
+    if (const auto render = g_config_line.load()) {
+      std::fprintf(stderr, "%s\n", render().c_str());
+    }
+  });
+  std::fprintf(stderr, "%.*s\n", static_cast<int>(line.size()), line.data());
+}
+
+void set_config_line(std::string (*render)()) { g_config_line.store(render); }
 
 void set_gemm_time_model(
     std::function<double(const gemm_model_query&)> fn) {

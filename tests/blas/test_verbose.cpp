@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <fstream>
@@ -12,7 +13,15 @@
 #include <vector>
 
 #include "dcmesh/blas/blas.hpp"
+#include "dcmesh/blas/gemm_call.hpp"
+#include "dcmesh/blas/trsm.hpp"
 #include "dcmesh/common/env.hpp"
+#include "dcmesh/common/rng.hpp"
+#include "dcmesh/resil/abft.hpp"
+#include "dcmesh/resil/fault_plan.hpp"
+#include "dcmesh/resil/health.hpp"
+#include "dcmesh/trace/metrics.hpp"
+#include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::blas {
 namespace {
@@ -78,11 +87,9 @@ TEST_F(VerboseTest, CountersAccumulateAndClear) {
           b.data(), 1, 0.0, c.data(), 1);
   }
   EXPECT_EQ(call_count(), 5u);
-  EXPECT_GE(total_call_seconds(), 0.0);
   clear_call_log();
   EXPECT_EQ(call_count(), 0u);
   EXPECT_TRUE(recent_calls().empty());
-  EXPECT_EQ(total_call_seconds(), 0.0);
 }
 
 TEST_F(VerboseTest, LineFormatMatchesMklStyle) {
@@ -205,6 +212,146 @@ TEST_F(VerboseTest, GemmHelpers) {
   // bytes: A(m*k) + B(k*n) + 2*C(m*n), each elem_bytes.
   EXPECT_DOUBLE_EQ(gemm_bytes(2, 3, 4, 8),
                    (2.0 * 4 + 4.0 * 3 + 2.0 * 2 * 3) * 8);
+}
+
+/// Events of `category` in the trace buffers.
+std::vector<trace::trace_event> events_of(std::string_view category) {
+  std::vector<trace::trace_event> out;
+  for (auto& event : trace::tracer::instance().snapshot()) {
+    if (event.category == category) out.push_back(std::move(event));
+  }
+  return out;
+}
+
+TEST_F(VerboseTest, EverySinkAgreesOnOneCall) {
+  // One tagged SGEMM with an injected output bitflip that ABFT corrects,
+  // the health scan on, and every sink on: text line, JSON line, span,
+  // metrics row and log entry all render the one record.
+  const std::string path =
+      ::testing::TempDir() + "/dcmesh_verbose_agree_test.jsonl";
+  std::remove(path.c_str());
+  env_set(kVerboseEnvVar, "1");
+  env_set(kVerboseJsonEnvVar, path);
+  resil::fault_plan plan;
+  plan.rules.push_back({"verbose/agree", 0, resil::fault_kind::bitflip, 20.0});
+  resil::set_fault_plan(plan);
+  resil::reset_fault_state();
+  resil::set_health_level(resil::health_level::full);
+  trace::clear_gemm_metrics();
+  auto& tracer = trace::tracer::instance();
+  tracer.set_enabled(true);
+  tracer.clear();
+
+  xoshiro256 rng(42);
+  const blas_int m = 16, n = 12, k = 32;
+  std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
+  for (auto& v : a) v = float(rng.uniform()) - 0.5f;
+  for (auto& v : b) v = float(rng.uniform()) - 0.5f;
+  gemm_call<float> call;
+  call.m = m;
+  call.n = n;
+  call.k = k;
+  call.a = a.data();
+  call.lda = m;
+  call.b = b.data();
+  call.ldb = k;
+  call.c = c.data();
+  call.ldc = m;
+  call.call_site = "verbose/agree";
+  call.abft = resil::abft_mode::correct;
+  testing::internal::CaptureStderr();
+  run(call);
+  const std::string err = testing::internal::GetCapturedStderr();
+  const auto spans = events_of("gemm");
+  tracer.set_enabled(false);
+  tracer.clear();
+  env_unset(kVerboseJsonEnvVar);
+  resil::set_fault_plan(std::nullopt);
+  resil::reset_fault_state();
+  resil::set_health_level(std::nullopt);
+
+  const call_record record = recent_calls().back();
+  EXPECT_EQ(record.call_site, "verbose/agree");
+  EXPECT_EQ(record.routine, "SGEMM");
+  EXPECT_EQ(record.fault.rfind("bitflip@", 0), 0u) << record.fault;
+  EXPECT_EQ(record.abft, abft_verdict::corrected);
+  EXPECT_EQ(record.health, health_verdict::clean);
+
+  // Text line: the record's MKL_VERBOSE rendering, verdicts included.
+  std::string text;
+  for (std::size_t at = 0, end; at < err.size(); at = end + 1) {
+    end = err.find('\n', at);
+    if (err.compare(at, 12, "MKL_VERBOSE ") == 0) {
+      text = err.substr(at, end - at);
+    }
+  }
+  EXPECT_EQ(text, record.to_string()) << err;
+  EXPECT_NE(text.find("SGEMM(N,N,16,12,32)"), std::string::npos) << text;
+  EXPECT_NE(text.find(" site:verbose/agree"), std::string::npos) << text;
+  EXPECT_NE(text.find(" fault:" + record.fault), std::string::npos) << text;
+  EXPECT_NE(text.find(" abft:corrected"), std::string::npos) << text;
+
+  // JSON line: the record's JSON rendering.
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], record.to_json());
+
+  // Span: named by the site, ts/dur from the record, args = JSON members.
+  ASSERT_EQ(spans.size(), 1u);
+  const trace::trace_event& span = spans[0];
+  EXPECT_EQ(span.name, "verbose/agree");
+  EXPECT_EQ(span.ts_ns, tracer.ns_at(record.start));
+  EXPECT_EQ(span.dur_ns,
+            static_cast<std::uint64_t>(std::llround(record.seconds * 1e9)));
+  for (const char* field :
+       {"routine", "site", "mode", "fault", "abft", "health"}) {
+    EXPECT_EQ(trace::json_string_field(span.args_json, field),
+              trace::json_string_field(lines[0], field))
+        << field;
+  }
+  for (const char* field : {"m", "n", "k", "flops", "seconds"}) {
+    EXPECT_EQ(trace::json_number_field(span.args_json, field),
+              trace::json_number_field(lines[0], field))
+        << field;
+  }
+  EXPECT_EQ(span.args_json.rfind(lines[0].substr(1, lines[0].size() - 2), 0),
+            0u)
+      << span.args_json;
+
+  // Metrics row: the record's site, flops, seconds and mode.
+  const trace::gemm_site_counters row = trace::gemm_metrics_for(
+      "verbose/agree");
+  EXPECT_EQ(row.calls, 1u);
+  EXPECT_EQ(row.flops, record.flops);
+  EXPECT_EQ(row.flops, gemm_flops(false, m, n, k));
+  EXPECT_EQ(row.seconds, record.seconds);
+  EXPECT_EQ(row.mode_calls.count(std::string(info(record.mode).env_token)),
+            1u);
+  trace::clear_gemm_metrics();
+}
+
+TEST_F(VerboseTest, NonGemmCallsEmitOneBlasSpan) {
+  auto& tracer = trace::tracer::instance();
+  tracer.set_enabled(true);
+  tracer.clear();
+  std::vector<float> a{2.0f, 0.0f, 1.0f, 4.0f}, b{2.0f, 4.0f};
+  trsm<float>(side::left, uplo::lower, transpose::none, diag::non_unit, 2, 1,
+              1.0f, a.data(), 2, b.data(), 2, "verbose/trsm");
+  const auto spans = events_of("blas");
+  const auto gemm_spans = events_of("gemm");
+  tracer.set_enabled(false);
+  tracer.clear();
+
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_TRUE(gemm_spans.empty());
+  EXPECT_EQ(spans[0].name, "verbose/trsm");
+  EXPECT_EQ(trace::json_string_field(spans[0].args_json, "routine"), "STRSM");
+  EXPECT_EQ(spans[0].args_json.find("predicted_us"), std::string::npos);
+  EXPECT_EQ(spans[0].dur_ns, static_cast<std::uint64_t>(std::llround(
+                                 recent_calls().back().seconds * 1e9)));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -348,6 +349,34 @@ TEST_F(KnobTable, VerboseRunPrintsTheConfigLineOnceBeforeTheFirstRecord) {
   EXPECT_EQ(err.rfind("DCMESH_CONFIG MKL_VERBOSE=1\n", 0), 0u) << err;
   EXPECT_EQ(count(err, "DCMESH_CONFIG"), 1u) << err;
   EXPECT_EQ(count(err, "SGEMM"), 2u) << err;
+}
+
+/// Run the process's first GEMM and exit 0 when its stderr leads with the
+/// one config line and carries a DCMESH_RESIL line.
+[[noreturn]] void first_gemm_and_exit() {
+  float a = 1.0f, b = 2.0f, c = 0.0f;
+  testing::internal::CaptureStderr();
+  blas::sgemm(blas::transpose::none, blas::transpose::none, 1, 1, 1, 1.0f, &a,
+              1, &b, 1, 0.0f, &c, 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  std::fputs(err.c_str(), stderr);
+  std::exit(err.rfind("DCMESH_CONFIG ", 0) == 0 &&
+                    count(err, "DCMESH_CONFIG") == 1 &&
+                    err.find("\nDCMESH_RESIL inject") != std::string::npos
+                ? 0
+                : 1);
+}
+
+TEST_F(KnobTable, AHealthEventFirstStillPrintsTheConfigLineFirst) {
+  // A fault in the process's first GEMM prints DCMESH_RESIL lines ahead of
+  // its record; the config line still leads.  It prints once per process,
+  // so the check runs in a fresh one.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  env_set("MKL_VERBOSE", "1");
+  env_set("DCMESH_HEALTH", "full");
+  env_set("DCMESH_FAULT_PLAN", "*:0:nan");
+  EXPECT_EXIT(first_gemm_and_exit(), testing::ExitedWithCode(0),
+              "DCMESH_CONFIG");
 }
 
 TEST(KnobTableRows, NamesAreUniqueAndFindKnobRoundTrips) {
