@@ -1,10 +1,10 @@
-// ext_policy_sweep — the Table-6-style per-call-mode experiment, redone
-// through the precision-policy engine.  ext_per_call_modes needed a
-// hand-rolled QD loop with scoped_compute_mode around each site; here the
-// REAL driver runs unmodified and DCMESH_BLAS_POLICY alone selects which
-// of the tagged LFD call sites (lfd/nlp_prop/*, lfd/calc_energy/*,
-// lfd/remap_occ/*) drop to BF16 — the paper's "no source changes, only
-// environment variables" property extended to per-call granularity.
+// ext_policy_sweep — the paper's stated future work ("the effects of
+// running different BLAS calls at different levels of precision"), run
+// through the precision-policy engine: the REAL driver runs unmodified and
+// DCMESH_BLAS_POLICY alone selects which of the tagged LFD call sites
+// (lfd/nlp_prop/*, lfd/calc_energy/*, lfd/remap_occ/*) drop to BF16 — the
+// paper's "no source changes, only environment variables" property
+// extended to per-call granularity.
 //
 // Three parts:
 //   1. the sweep: one policy per site family, deviations vs the FP32 run;
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "accuracy_common.hpp"
-#include "bench_json.hpp"
 #include "dcmesh/blas/precision_policy.hpp"
 #include "dcmesh/blas/verbose.hpp"
 #include "dcmesh/common/env.hpp"
@@ -129,27 +128,10 @@ int run(int argc, char** argv) {
       {"lfd/* @ BF16", "lfd/*=FLOAT_TO_BF16"},
   };
 
-  // Aggregate BLAS throughput per case from the metrics registry (delta
-  // across the run), for the machine-readable artifact.
-  const auto metrics_totals = [] {
-    std::pair<double, double> t{0.0, 0.0};  // flops, seconds
-    for (const auto& [site, counters] : trace::gemm_metrics()) {
-      t.first += counters.flops;
-      t.second += counters.seconds;
-    }
-    return t;
-  };
-
   std::vector<std::vector<lfd::qd_record>> runs;
-  std::vector<double> case_gflops;
   for (const auto& c : cases) {
     std::fprintf(stderr, "  running %s...\n", c.label);
-    const auto before = metrics_totals();
     runs.push_back(run_policy(config, c.policy));
-    const auto after = metrics_totals();
-    case_gflops.push_back(
-        (after.first - before.first) /
-        std::max(after.second - before.second, 1e-12) / 1e9);
   }
 
   const auto column = [&](std::size_t r, const char* col) {
@@ -165,29 +147,9 @@ int run(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nReading: same physics as ext_per_call_modes, but the selection is "
-      "made by the policy engine against the engine's own tagged calls — "
-      "no harness code, just DCMESH_BLAS_POLICY.\n");
-
-  // Machine-readable artifact: one row per policy case — aggregate BLAS
-  // GFLOP/s across the run, and the max ekin deviation vs the FP32
-  // reference as the error column (a physics deviation, not ULPs; the
-  // source tag says so).
-  {
-    bench::bench_json_writer json("ext_policy_sweep");
-    for (std::size_t r = 0; r < std::size(cases); ++r) {
-      bench::bench_gemm_row row;
-      row.routine = "QD-DRIVER";
-      row.mode = cases[r].label;
-      row.gflops = case_gflops[r];
-      row.err_ulp = r == 0 ? 0.0
-                           : max_abs_deviation(column(r, "ekin"),
-                                               column(0, "ekin"));
-      row.source = "driver-policy-sweep (err = max |dev ekin|)";
-      json.add(row);
-    }
-    json.write();
-  }
+      "\nReading: each row isolates one site family's accuracy impact; the "
+      "selection is made by the policy engine against the engine's own "
+      "tagged calls — no harness code, just DCMESH_BLAS_POLICY.\n");
 
   audit_with_json(config);
   guarded_demo(config);

@@ -1,10 +1,6 @@
 // gemm_real.cpp — sgemm/dgemm: the fused split-mode engine and the legacy
 // positional shims over the descriptor dispatcher.
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/gemm_call.hpp"
 #include "dcmesh/sched/config.hpp"
@@ -14,15 +10,6 @@
 
 namespace dcmesh::blas {
 namespace detail {
-namespace {
-
-[[nodiscard]] double engine_now() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 /// sgemm under a FLOAT_TO_* mode — the fused pack-once engine.
 ///
@@ -40,8 +27,9 @@ namespace {
 /// one kBlockK slice.  The tile sweep below replays exactly that order
 /// (products outer, pc panels inner, same kBlockK partition, same
 /// microkernel, same one-rounding epilogue), so results are bit-identical
-/// to sgemm_split_reference under any kernel ISA — the fusion moves
-/// memory traffic, not arithmetic.
+/// to the two-phase reference (dense component copies, one blocked pass
+/// per product; the tests' oracle) under any kernel ISA — the fusion
+/// moves memory traffic, not arithmetic.
 void sgemm_split(compute_mode mode, transpose transa, transpose transb,
                  blas_int m, blas_int n, blas_int k, float alpha,
                  const float* a, blas_int lda, const float* b, blas_int ldb,
@@ -63,11 +51,6 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
   const int ncomp = spec.components;
   const blas_int num_pc = (k + kBlockK - 1) / kBlockK;
 
-  const bool profile = split_profiling_enabled();
-  double pack_b_seconds = 0.0;
-  std::atomic<std::int64_t> pack_a_ns{0};
-  std::atomic<std::int64_t> compute_ns{0};
-
   for (blas_int jc = 0; jc < n; jc += block_n) {
     const blas_int nc = std::min<blas_int>(block_n, n - jc);
     const blas_int n_strips = (nc + nr - 1) / nr;
@@ -79,7 +62,6 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
         kArenaSlotB,
         static_cast<std::size_t>(num_pc) * ncomp * b_stride);
 
-    const double tb0 = profile ? engine_now() : 0.0;
     for (blas_int t = 0; t < num_pc; ++t) {
       const blas_int pc = t * kBlockK;
       const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
@@ -87,7 +69,6 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
                    bpack + static_cast<std::size_t>(t) * ncomp * b_stride,
                    b_stride, nr, /*parallel=*/true);
     }
-    if (profile) pack_b_seconds += engine_now() - tb0;
 
     const blas_int ic_blocks = (m + block_m - 1) / block_m;
     const auto process_block = [&](blas_int ib) {
@@ -100,7 +81,6 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
           kArenaSlotA,
           static_cast<std::size_t>(num_pc) * ncomp * a_stride);
 
-      const double ta0 = profile ? engine_now() : 0.0;
       for (blas_int t = 0; t < num_pc; ++t) {
         const blas_int pc = t * kBlockK;
         const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
@@ -108,7 +88,6 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
                      apack + static_cast<std::size_t>(t) * ncomp * a_stride,
                      a_stride, mr);
       }
-      const double ta1 = profile ? engine_now() : 0.0;
 
       // Sweep order: product-major, pc-panel ascending, tiles inside —
       // every C element sees the reference op order (bit-identity), and
@@ -142,21 +121,8 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
           }
         }
       }
-      if (profile) {
-        const double ta2 = engine_now();
-        pack_a_ns.fetch_add(static_cast<std::int64_t>((ta1 - ta0) * 1e9),
-                            std::memory_order_relaxed);
-        compute_ns.fetch_add(static_cast<std::int64_t>((ta2 - ta1) * 1e9),
-                             std::memory_order_relaxed);
-      }
     };
     sched::team_parallel_for(ic_blocks, [&](long ib) { process_block(ib); });
-  }
-
-  if (profile) {
-    split_profile_add(pack_a_ns.load(std::memory_order_relaxed) * 1e-9,
-                      pack_b_seconds,
-                      compute_ns.load(std::memory_order_relaxed) * 1e-9);
   }
 }
 

@@ -1,48 +1,12 @@
 #include "split.hpp"
 
-#include <atomic>
-
 #include "gemm_kernel.hpp"
 
 namespace dcmesh::blas::detail {
-
-std::vector<matrix<float>> split_operand(const float* x, blas_int rows,
-                                         blas_int cols, blas_int ld,
-                                         split_spec spec) {
-  std::vector<matrix<float>> components;
-  components.reserve(static_cast<std::size_t>(spec.components));
-
-  // residual starts as the exact input and loses one component per pass.
-  matrix<float> residual(static_cast<std::size_t>(rows),
-                         static_cast<std::size_t>(cols));
-  for (blas_int j = 0; j < cols; ++j) {
-    const float* src = x + j * ld;
-    float* dst = residual.data() + j * rows;
-    for (blas_int i = 0; i < rows; ++i) dst[i] = src[i];
-  }
-
-  for (int c = 0; c < spec.components; ++c) {
-    matrix<float> comp(static_cast<std::size_t>(rows),
-                       static_cast<std::size_t>(cols));
-    float* comp_data = comp.data();
-    float* res_data = residual.data();
-    const std::size_t count = comp.size();
-    const bool last = (c + 1 == spec.components);
-    for (std::size_t i = 0; i < count; ++i) {
-      const float rounded = spec.round(res_data[i]);
-      comp_data[i] = rounded;
-      if (!last) res_data[i] -= rounded;
-    }
-    components.push_back(std::move(comp));
-  }
-  return components;
-}
-
 namespace {
 
-/// Inlinable component rounding (the function-pointer form in split_spec
-/// is kept for the reference path; the fused pack loops must not pay an
-/// indirect call per element).
+/// Component rounding, resolved at compile time so the fused pack loops
+/// pay no branch or indirect call per element.
 template <round_kind K>
 [[nodiscard]] inline float round_component(float x) noexcept {
   if constexpr (K == round_kind::bf16) {
@@ -53,8 +17,8 @@ template <round_kind K>
 }
 
 /// Emit the component chain of one source element at packed offset `off`:
-/// comp[c] = round(residual), residual -= comp[c] — the exact
-/// split_operand recurrence, fused to a single pass.
+/// comp[c] = round(residual), residual -= comp[c] — the two-phase
+/// decomposition's recurrence, fused to a single pass.
 template <round_kind K>
 inline void write_components(float value, int ncomp, float* dst,
                              std::size_t comp_stride,
@@ -157,35 +121,6 @@ void pack_b_split(const float* b, blas_int ldb, transpose op, blas_int row0,
   }
 }
 
-void sgemm_split_reference(compute_mode mode, transpose transa,
-                           transpose transb, blas_int m, blas_int n,
-                           blas_int k, float alpha, const float* a,
-                           blas_int lda, const float* b, blas_int ldb,
-                           float beta, float* c, blas_int ldc) {
-  validate_gemm_args(transa, transb, m, n, k, a, lda, b, ldb, c, ldc,
-                     /*needs_ab=*/alpha != 0.0f);
-  if (m == 0 || n == 0) return;
-  scale_c(m, n, beta, c, ldc);
-  if (k == 0 || alpha == 0.0f) return;
-
-  const split_spec spec = split_for(mode);
-  const blas_int rows_a = transa == transpose::none ? m : k;
-  const blas_int cols_a = transa == transpose::none ? k : m;
-  const blas_int rows_b = transb == transpose::none ? k : n;
-  const blas_int cols_b = transb == transpose::none ? n : k;
-
-  const auto a_comp = split_operand(a, rows_a, cols_a, lda, spec);
-  const auto b_comp = split_operand(b, rows_b, cols_b, ldb, spec);
-
-  for (const auto& [i, j] : retained_products(spec.components)) {
-    gemm_blocked_accumulate(transa, transb, m, n, k, alpha,
-                            a_comp[static_cast<std::size_t>(i)].data(),
-                            rows_a,
-                            b_comp[static_cast<std::size_t>(j)].data(),
-                            rows_b, c, ldc);
-  }
-}
-
 std::vector<std::pair<int, int>> retained_products(int components) {
   std::vector<std::pair<int, int>> pairs;
   for (int order = 0; order <= components - 1; ++order) {
@@ -194,53 +129,6 @@ std::vector<std::pair<int, int>> retained_products(int components) {
     }
   }
   return pairs;
-}
-
-namespace {
-
-std::atomic<bool> g_profiling{false};
-std::atomic<std::uint64_t> g_profile_calls{0};
-// Nanosecond totals (atomic integers; doubles would need a CAS loop).
-std::atomic<std::int64_t> g_pack_a_ns{0};
-std::atomic<std::int64_t> g_pack_b_ns{0};
-std::atomic<std::int64_t> g_compute_ns{0};
-
-[[nodiscard]] std::int64_t to_ns(double seconds) noexcept {
-  return static_cast<std::int64_t>(seconds * 1e9);
-}
-
-}  // namespace
-
-void set_split_profiling(bool enabled) noexcept {
-  g_profiling.store(enabled, std::memory_order_relaxed);
-}
-
-bool split_profiling_enabled() noexcept {
-  return g_profiling.load(std::memory_order_relaxed);
-}
-
-split_profile split_profile_snapshot() noexcept {
-  split_profile p;
-  p.calls = g_profile_calls.load(std::memory_order_relaxed);
-  p.pack_a_seconds = g_pack_a_ns.load(std::memory_order_relaxed) * 1e-9;
-  p.pack_b_seconds = g_pack_b_ns.load(std::memory_order_relaxed) * 1e-9;
-  p.compute_seconds = g_compute_ns.load(std::memory_order_relaxed) * 1e-9;
-  return p;
-}
-
-void reset_split_profile() noexcept {
-  g_profile_calls.store(0, std::memory_order_relaxed);
-  g_pack_a_ns.store(0, std::memory_order_relaxed);
-  g_pack_b_ns.store(0, std::memory_order_relaxed);
-  g_compute_ns.store(0, std::memory_order_relaxed);
-}
-
-void split_profile_add(double pack_a_s, double pack_b_s,
-                       double compute_s) noexcept {
-  g_profile_calls.fetch_add(1, std::memory_order_relaxed);
-  g_pack_a_ns.fetch_add(to_ns(pack_a_s), std::memory_order_relaxed);
-  g_pack_b_ns.fetch_add(to_ns(pack_b_s), std::memory_order_relaxed);
-  g_compute_ns.fetch_add(to_ns(compute_s), std::memory_order_relaxed);
 }
 
 }  // namespace dcmesh::blas::detail

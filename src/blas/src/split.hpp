@@ -9,22 +9,19 @@
 // CPU reproduces the hardware arithmetic bit-for-bit; only the accumulation
 // order can differ, which is unspecified on hardware as well.
 //
-// Since the fused-engine rebuild the production path no longer
-// materialises dense component matrices: pack_a_split/pack_b_split fuse
-// the decomposition into the Goto-style panel packing, emitting all N
-// component panels in one pass over the source operand.  split_operand and
-// sgemm_split_reference keep the original two-phase arithmetic alive as
-// the bit-exactness oracle for tests and the legacy side of the
-// fused-vs-legacy bench comparison.
+// The engine never materialises dense component matrices:
+// pack_a_split/pack_b_split fuse the decomposition into the Goto-style
+// panel packing, emitting all N component panels in one pass over the
+// source operand.  The original two-phase arithmetic (dense component
+// copies, one blocked pass per product) lives on in the test tree as the
+// bit-exactness oracle.
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/compute_mode.hpp"
 #include "dcmesh/common/bf16.hpp"
-#include "dcmesh/common/matrix.hpp"
 #include "dcmesh/common/tf32.hpp"
 
 namespace dcmesh::blas::detail {
@@ -34,9 +31,8 @@ enum class round_kind { bf16, tf32 };
 
 /// Properties of a split mode.
 struct split_spec {
-  int components;          ///< 1, 2, or 3 component matrices per operand.
-  float (*round)(float);   ///< Component rounding function.
-  round_kind kind = round_kind::bf16;  ///< Same rounding, inlinable form.
+  int components;                      ///< 1, 2, or 3 components per operand.
+  round_kind kind = round_kind::bf16;  ///< Component rounding.
 };
 
 /// Split parameters for a mode; standard/complex_3m are not split modes
@@ -44,15 +40,15 @@ struct split_spec {
 [[nodiscard]] constexpr split_spec split_for(compute_mode mode) noexcept {
   switch (mode) {
     case compute_mode::float_to_bf16:
-      return {1, [](float x) { return round_to_bf16(x); }, round_kind::bf16};
+      return {1, round_kind::bf16};
     case compute_mode::float_to_bf16x2:
-      return {2, [](float x) { return round_to_bf16(x); }, round_kind::bf16};
+      return {2, round_kind::bf16};
     case compute_mode::float_to_bf16x3:
-      return {3, [](float x) { return round_to_bf16(x); }, round_kind::bf16};
+      return {3, round_kind::bf16};
     case compute_mode::float_to_tf32:
-      return {1, [](float x) { return round_to_tf32(x); }, round_kind::tf32};
+      return {1, round_kind::tf32};
     default:
-      return {0, nullptr, round_kind::bf16};
+      return {0, round_kind::bf16};
   }
 }
 
@@ -61,20 +57,12 @@ struct split_spec {
   return split_for(mode).components > 0;
 }
 
-/// Decompose a column-major rows x cols operand (leading dimension ld) into
-/// `spec.components` dense component matrices: comp[0] = round(x),
-/// comp[c] = round(x - comp[0] - ... - comp[c-1]).  The sum of components
-/// converges to x with ~7 extra mantissa bits per BF16 component.
-/// (Reference path; production packing fuses this into pack_*_split.)
-[[nodiscard]] std::vector<matrix<float>> split_operand(
-    const float* x, blas_int rows, blas_int cols, blas_int ld,
-    split_spec spec);
-
 /// Fused pack of an mc x kc block of op(A): emits spec.components packed
 /// component blocks in one pass over the source, each in the exact
 /// pack_a strip layout for an `mr`-tall tile, at dst + c * comp_stride
-/// for component c.  Component values are identical to
-/// split_operand-then-pack_a.
+/// for component c: comp[0] = round(x), comp[c] = round(x - comp[0] -
+/// ... - comp[c-1]), so the component sum converges to x with ~7 extra
+/// mantissa bits per BF16 component.
 void pack_a_split(const float* a, blas_int lda, transpose op, blas_int row0,
                   blas_int col0, blas_int mc, blas_int kc,
                   const split_spec& spec, float* dst,
@@ -109,38 +97,11 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
                              blas_int lda, const float* b, blas_int ldb,
                              float beta, float* c, blas_int ldc);
 
-/// Pre-fusion split GEMM (dense split_operand copies + one blocked pass
-/// per retained product).  Bit-identical to sgemm_split under any kernel
-/// ISA by construction; kept as the oracle for the exactness tests and
-/// the legacy side of bench/micro_gemm's fused-vs-legacy comparison.
-void sgemm_split_reference(compute_mode mode, transpose transa,
-                           transpose transb, blas_int m, blas_int n,
-                           blas_int k, float alpha, const float* a,
-                           blas_int lda, const float* b, blas_int ldb,
-                           float beta, float* c, blas_int ldc);
-
 /// Component-product pairs retained for an N-component split, in the order
 /// they are accumulated: all (i, j) with i + j <= N - 1 (0-based), sorted by
 /// ascending total order so the dominant (0,0) product is accumulated first.
 /// N=1 -> 1 product; N=2 -> 3; N=3 -> 6 (Table II's 16x, 16/3x, 8/3x).
 [[nodiscard]] std::vector<std::pair<int, int>> retained_products(
     int components);
-
-/// Cumulative fused-engine phase timings (seconds) — populated only while
-/// profiling is enabled, for bench/micro_gemm's pack/compute breakdown.
-struct split_profile {
-  std::uint64_t calls = 0;     ///< Fused split GEMM calls profiled.
-  double pack_a_seconds = 0;   ///< Fused A-block component packing.
-  double pack_b_seconds = 0;   ///< Fused B-panel component packing.
-  double compute_seconds = 0;  ///< Microkernel sweeps + C accumulation.
-};
-
-void set_split_profiling(bool enabled) noexcept;
-[[nodiscard]] bool split_profiling_enabled() noexcept;
-[[nodiscard]] split_profile split_profile_snapshot() noexcept;
-void reset_split_profile() noexcept;
-/// Accumulate one call's phase timings (thread-safe; engine-internal).
-void split_profile_add(double pack_a_s, double pack_b_s,
-                       double compute_s) noexcept;
 
 }  // namespace dcmesh::blas::detail

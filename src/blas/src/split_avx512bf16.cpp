@@ -28,8 +28,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 
@@ -48,12 +46,6 @@ static_assert(kBlockK % 2 == 0,
               "pair-interleaved panels assume an even K block");
 static_assert(kNativeMr <= kMaxMr && kNativeNr <= kMaxNr);
 
-[[nodiscard]] double engine_now() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // __m512i and __m512bh both carry __may_alias__, so a reference
 // reinterpret is the sanctioned zero-cost bridge (GCC has no
 // _mm512_castsi512_bh).
@@ -64,7 +56,7 @@ static_assert(kNativeMr <= kMaxMr && kNativeNr <= kMaxNr);
 /// Round one contiguous column of kc_padded floats (zero-padded past the
 /// live kc, kc_padded a multiple of 32) to its bf16 component chain:
 /// comp c receives the raw 16-bit patterns at bits[c * kc_padded + p].
-/// The recurrence is exactly split_operand's — round, subtract the
+/// The recurrence is exactly the software pack's — round, subtract the
 /// rounded value (rebuilt by exact widening), repeat — with
 /// vcvtne2ps2bf16 doing the round-to-nearest-even.
 inline void round_column_chain(const float* col, int ncomp,
@@ -275,11 +267,6 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
   const int ncomp = spec.components;
   const blas_int num_pc = (k + kBlockK - 1) / kBlockK;
 
-  const bool profile = split_profiling_enabled();
-  double pack_b_seconds = 0.0;
-  std::atomic<std::int64_t> pack_a_ns{0};
-  std::atomic<std::int64_t> compute_ns{0};
-
   for (blas_int jc = 0; jc < n; jc += block_n) {
     const blas_int nc = std::min<blas_int>(block_n, n - jc);
     const blas_int n_strips = (nc + kNativeNr - 1) / kNativeNr;
@@ -291,7 +278,6 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
         kArenaSlotB,
         static_cast<std::size_t>(num_pc) * ncomp * b_stride);
 
-    const double tb0 = profile ? engine_now() : 0.0;
     for (blas_int t = 0; t < num_pc; ++t) {
       const blas_int pc = t * kBlockK;
       const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
@@ -299,7 +285,6 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
                         bpack + static_cast<std::size_t>(t) * ncomp * b_stride,
                         b_stride, /*parallel=*/true);
     }
-    if (profile) pack_b_seconds += engine_now() - tb0;
 
     const blas_int ic_blocks = (m + block_m - 1) / block_m;
     const auto process_block = [&](blas_int ib) {
@@ -312,7 +297,6 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
           kArenaSlotA,
           static_cast<std::size_t>(num_pc) * ncomp * a_stride);
 
-      const double ta0 = profile ? engine_now() : 0.0;
       for (blas_int t = 0; t < num_pc; ++t) {
         const blas_int pc = t * kBlockK;
         const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
@@ -321,7 +305,6 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
                               static_cast<std::size_t>(t) * ncomp * a_stride,
                           a_stride);
       }
-      const double ta1 = profile ? engine_now() : 0.0;
 
       // Same sweep order as sgemm_split: product-major, pc ascending,
       // tiles inside — per-product accumulation into C stays in the
@@ -359,21 +342,8 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
           }
         }
       }
-      if (profile) {
-        const double ta2 = engine_now();
-        pack_a_ns.fetch_add(static_cast<std::int64_t>((ta1 - ta0) * 1e9),
-                            std::memory_order_relaxed);
-        compute_ns.fetch_add(static_cast<std::int64_t>((ta2 - ta1) * 1e9),
-                             std::memory_order_relaxed);
-      }
     };
     sched::team_parallel_for(ic_blocks, [&](long ib) { process_block(ib); });
-  }
-
-  if (profile) {
-    split_profile_add(pack_a_ns.load(std::memory_order_relaxed) * 1e-9,
-                      pack_b_seconds,
-                      compute_ns.load(std::memory_order_relaxed) * 1e-9);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "kernel_isa.hpp"
 #include "pack_arena.hpp"
 #include "split.hpp"
+#include "split_reference.hpp"
 
 namespace dcmesh::blas {
 namespace {

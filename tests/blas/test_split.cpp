@@ -1,7 +1,7 @@
 // Unit tests for the FP32 -> BF16^N / TF32 operand decomposition (internal
 // split machinery behind the FLOAT_TO_* compute modes).
 
-#include "split.hpp"  // internal header (src/blas/src)
+#include "split_reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ class SplitReconstruction : public ::testing::TestWithParam<int> {};
 
 TEST_P(SplitReconstruction, ComponentSumConverges) {
   const int n_comp = GetParam();
-  split_spec spec{n_comp, [](float v) { return round_to_bf16(v); }};
+  const split_spec spec{n_comp, round_kind::bf16};
   xoshiro256 rng(2);
   std::vector<float> x(256);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-100, 100));
