@@ -20,12 +20,12 @@ thread_local bool t_override_active = false;
 }  // namespace
 
 blas_int blocking_row_quantum(kernel_isa isa) noexcept {
-  // lcm over {f32, f64, cf32, cf64} MR per tier.
+  // lcm over the f32, f64 and complex-plane MR per tier.
   return isa == kernel_isa::avx512 ? 56 : 12;
 }
 
 blas_int blocking_col_quantum(kernel_isa isa) noexcept {
-  // lcm over {f32, f64, cf32, cf64} NR per tier.
+  // lcm over the f32, f64 and complex-plane NR per tier.
   return isa == kernel_isa::avx512 ? 32 : 16;
 }
 

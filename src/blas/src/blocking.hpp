@@ -37,8 +37,9 @@ struct gemm_blocking {
 };
 
 /// Row/column quanta per tier: lcm of every element type's MR (rows) /
-/// NR (columns).  scalar+avx2 tiles (6,4,4,2)x(16,8,4,4) -> 12 x 16;
-/// avx512 tiles (14,8,4,2)x(32,16,4,4) -> 56 x 32.
+/// NR (columns), the complex engine's plane tiles included (4 rows; 8
+/// float or 4 double columns).  scalar+avx2 tiles (6,4,4)x(16,8,8,4) ->
+/// 12 x 16; avx512 tiles (14,8,4)x(32,16,8,4) -> 56 x 32.
 [[nodiscard]] blas_int blocking_row_quantum(kernel_isa isa) noexcept;
 [[nodiscard]] blas_int blocking_col_quantum(kernel_isa isa) noexcept;
 

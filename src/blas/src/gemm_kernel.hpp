@@ -1,5 +1,5 @@
 #pragma once
-// gemm_kernel.hpp — internal cache-blocked GEMM used by every minimkl path.
+// gemm_kernel.hpp — internal cache-blocked real GEMM (float and double).
 //
 // Classic three-level blocking (Goto-style): B is packed into NR-wide
 // column strips per (jc, pc) panel, A into MR-tall row strips per (ic, pc)
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <complex>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 
@@ -23,7 +22,6 @@
 #include "blocking.hpp"
 #include "microkernel.hpp"
 #include "pack_arena.hpp"
-#include "prepack_cache.hpp"
 
 namespace dcmesh::blas::detail {
 
@@ -201,39 +199,14 @@ void gemm_blocked_accumulate(transpose transa, transpose transb, blas_int m,
   const blas_int block_m = blk.mc;
   const blas_int block_n = blk.nc;
 
-  // Panels packed ahead of time by the step scheduler (pack/compute
-  // overlap): consume them instead of packing inline.  One relaxed load
-  // when the cache is empty — the common case costs nothing.  A panel
-  // set laid out for a different NC or NR (tier or blocking changed
-  // between prepack and consume) is dropped rather than misread.
-  std::shared_ptr<const prepacked_b_panels> pre;
-  if (!prepack_cache_empty()) {
-    pre = take_prepacked(b, ldb, static_cast<int>(transb), k, n,
-                         prepack_type_tag<T>());
-    if (pre && !(pre->block_n == block_n && pre->block_k == kBlockK &&
-                 pre->nr == nr)) {
-      pre.reset();
-    }
-  }
-
   for (blas_int jc = 0; jc < n; jc += block_n) {
     const blas_int nc = std::min<blas_int>(block_n, n - jc);
     const blas_int n_strips = (nc + nr - 1) / nr;
     for (blas_int pc = 0; pc < k; pc += kBlockK) {
       const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
-      const T* bp;
-      if (pre) {
-        // Bit-identical to the inline pack_b below: same routine, same
-        // layout and blocking (checked above), operand frozen since
-        // prepack time (the contract in dcmesh/blas/prepack.hpp).
-        bp = pre->template panel<T>(jc / block_n, pc / kBlockK);
-      } else {
-        T* bp_mut = pack_arena::for_thread().template acquire<T>(
-            kArenaSlotB, static_cast<std::size_t>(n_strips) * kc * nr);
-        pack_b(b, ldb, transb, pc, jc, kc, nc, bp_mut, nr,
-               /*parallel=*/true);
-        bp = bp_mut;
-      }
+      T* bp = pack_arena::for_thread().template acquire<T>(
+          kArenaSlotB, static_cast<std::size_t>(n_strips) * kc * nr);
+      pack_b(b, ldb, transb, pc, jc, kc, nc, bp, nr, /*parallel=*/true);
 
       const blas_int ic_blocks = (m + block_m - 1) / block_m;
       const auto process_block = [&](blas_int ib) {

@@ -28,7 +28,8 @@ std::atomic<int> g_bf16_override{-1};
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512vl");
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("fma");
 #else
   return false;
 #endif

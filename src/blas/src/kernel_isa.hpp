@@ -36,7 +36,8 @@
 namespace dcmesh::blas::detail {
 
 /// Which microkernel family the blocked core uses for float/double tiles.
-/// (Complex tiles always use the scalar template.)
+/// (Complex GEMMs use the fused complex engine's tile kernel, compiled once
+/// per tier: complex_kernel.hpp.)
 enum class kernel_isa { scalar = 0, avx2 = 1, avx512 = 2 };
 
 /// DCMESH_BF16_NATIVE grammar: auto or a switch; only off vetoes.

@@ -17,7 +17,6 @@
 // whether the ISA symbols exist; headers stay ODR-safe for tests that
 // include them.
 
-#include <complex>
 #include <type_traits>
 
 #include "dcmesh/blas/blas.hpp"
@@ -25,13 +24,14 @@
 
 namespace dcmesh::blas::detail {
 
-/// Baseline register-tile shape per element type (scalar and avx2
+/// Baseline register-tile shape per real element type (scalar and avx2
 /// tiers).  float uses a 6x16 tile (12 YMM accumulators + 2 B vectors +
 /// 1 A broadcast = 15 of 16 registers at AVX2 widths); double a 4x8
-/// tile (8 accumulators).  The complex tiles feed the scalar kernel
-/// only.  The avx512 tier widens float to 14x32 and double to 8x16
-/// (28/16 ZMM accumulators + 2 B + 1 broadcast of 32 registers); those
-/// shapes are carried by kernel_desc, not by this trait.
+/// tile (8 accumulators).  The avx512 tier widens float to 14x32 and
+/// double to 8x16 (28/16 ZMM accumulators + 2 B + 1 broadcast of 32
+/// registers); those shapes are carried by kernel_desc, not by this
+/// trait.  Complex GEMMs run on real planes with their own tile
+/// (complex_kernel.hpp).
 template <typename T>
 struct micro_tile {
   static constexpr int mr = 6;
@@ -41,16 +41,6 @@ template <>
 struct micro_tile<double> {
   static constexpr int mr = 4;
   static constexpr int nr = 8;
-};
-template <>
-struct micro_tile<std::complex<float>> {
-  static constexpr int mr = 4;
-  static constexpr int nr = 4;
-};
-template <>
-struct micro_tile<std::complex<double>> {
-  static constexpr int mr = 2;
-  static constexpr int nr = 4;
 };
 
 /// Upper bounds over every tier's tile shape — sizes the stack
@@ -75,7 +65,7 @@ struct kernel_desc {
   int nr;
 };
 
-/// Portable MR x NR register-tile kernel (all element types).
+/// Portable MR x NR register-tile kernel (float and double).
 template <typename T>
 void micro_kernel_scalar(blas_int kc, const T* ap, const T* bp,
                          T* __restrict acc) noexcept {
@@ -102,8 +92,8 @@ void micro_kernel_avx2_f64(blas_int kc, const double* ap, const double* bp,
                            double* acc) noexcept;
 
 /// Explicit AVX-512 kernels (microkernel_avx512.cpp; compiled only when
-/// the toolchain supports -mavx512{f,bw,dq,vl} and dispatched only when
-/// the CPU does).  float packs a 14x32 tile, double an 8x16 tile.
+/// the toolchain supports -mavx512{f,bw,dq,vl} -mfma and dispatched only
+/// when the CPU does).  float packs a 14x32 tile, double an 8x16 tile.
 void micro_kernel_avx512_f32(blas_int kc, const float* ap, const float* bp,
                              float* acc) noexcept;
 void micro_kernel_avx512_f64(blas_int kc, const double* ap,
@@ -118,12 +108,11 @@ void micro_kernel_avx512_f64(blas_int kc, const double* ap,
 /// reads an atomic.
 template <typename T>
 [[nodiscard]] kernel_desc<T> select_kernel_desc() noexcept {
+  static_assert(std::is_same_v<T, float> || std::is_same_v<T, double>);
   if constexpr (std::is_same_v<T, float>) {
     return resolve_kernel_desc_f32();
-  } else if constexpr (std::is_same_v<T, double>) {
-    return resolve_kernel_desc_f64();
   } else {
-    return {&micro_kernel_scalar<T>, micro_tile<T>::mr, micro_tile<T>::nr};
+    return resolve_kernel_desc_f64();
   }
 }
 

@@ -12,6 +12,7 @@
 //   float  6x16: 12 accumulators + 2 B vectors + 1 A broadcast = 15.
 //   double  4x8:  8 accumulators + 2 B vectors + 1 A broadcast = 11.
 
+#include "complex_kernel.hpp"
 #include "microkernel.hpp"
 
 #if defined(DCMESH_HAVE_AVX2_KERNELS)
@@ -108,6 +109,17 @@ void micro_kernel_avx2_f64(blas_int kc, const double* ap, const double* bp,
   _mm256_storeu_pd(acc + 2 * 8 + 4, c21);
   _mm256_storeu_pd(acc + 3 * 8, c30);
   _mm256_storeu_pd(acc + 3 * 8 + 4, c31);
+}
+
+// The fused complex engine's tile kernel, compiled at this tier's ISA
+// (complex_kernel.hpp), with one explicit fmadd per step like the
+// kernels above.
+complex_kernels<float> complex_kernels_avx2_f32() noexcept {
+  return complex_kernels_here<float, true>();
+}
+
+complex_kernels<double> complex_kernels_avx2_f64() noexcept {
+  return complex_kernels_here<double, true>();
 }
 
 }  // namespace dcmesh::blas::detail

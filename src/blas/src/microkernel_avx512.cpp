@@ -1,7 +1,7 @@
 // microkernel_avx512.cpp — explicit AVX-512 register-tile microkernels.
 //
 // This translation unit alone is compiled with -mavx512f -mavx512bw
-// -mavx512dq -mavx512vl (see src/blas/CMakeLists.txt); it is only
+// -mavx512dq -mavx512vl -mfma (see src/blas/CMakeLists.txt); it is only
 // dispatched to after a runtime __builtin_cpu_supports check, so the
 // rest of the library keeps the baseline ISA.  Both kernels perform, per
 // C element, exactly one fmadd per packed k step with p ascending — the
@@ -17,6 +17,7 @@
 // register allocator honest (a [14][2] array spills on GCC), and the
 // load/fma/store pattern is identical for every row.
 
+#include "complex_kernel.hpp"
 #include "microkernel.hpp"
 
 #if defined(DCMESH_HAVE_AVX512_KERNELS)
@@ -89,6 +90,17 @@ void micro_kernel_avx512_f64(blas_int kc, const double* ap,
 }
 
 #undef DCMESH_AVX512_F64_ROWS
+
+// The fused complex engine's tile kernel, compiled at this tier's ISA
+// (complex_kernel.hpp), with one explicit fmadd per step like the
+// kernels above.
+complex_kernels<float> complex_kernels_avx512_f32() noexcept {
+  return complex_kernels_here<float, true>();
+}
+
+complex_kernels<double> complex_kernels_avx512_f64() noexcept {
+  return complex_kernels_here<double, true>();
+}
 
 }  // namespace dcmesh::blas::detail
 

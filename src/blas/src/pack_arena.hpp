@@ -16,11 +16,13 @@
 //  - A GEMM call uses slot_b on the calling thread for B panels (packed
 //    before the parallel region, read by all workers) and slot_a on each
 //    worker for its private A block — distinct slots, so the master
-//    thread can hold both simultaneously.
-//  - Slots must not be held across a nested GEMM call on the same thread;
-//    the blocked kernels never do (component products are swept inside
-//    one call, and the complex 3M/4M plane products run sequentially,
-//    each acquiring afresh).
+//    thread can hold both simultaneously.  The fused complex engine adds
+//    slot_p (each block's running plane products) on whichever thread
+//    runs the block.
+//  - Slots must not be held across a nested GEMM call on the same thread,
+//    with one exception: under a split mode the complex engine keeps its
+//    dense planes in slot_planes while it runs the four real sgemm_split
+//    products, which use slots A and B only.
 //
 // Packed panels are fully written (edge tiles are zero-padded by the pack
 // routines), so acquire() intentionally does not zero memory.
@@ -35,10 +37,14 @@
 namespace dcmesh::blas::detail {
 
 /// Arena slots: B panels (packed by the calling thread, shared with the
-/// parallel region) and A blocks (private to each worker thread).
+/// parallel region), A blocks (private to each worker thread), the
+/// complex engine's running plane products, and its split-mode dense
+/// planes.
 inline constexpr int kArenaSlotB = 0;
 inline constexpr int kArenaSlotA = 1;
-inline constexpr int kArenaSlots = 2;
+inline constexpr int kArenaSlotP = 2;
+inline constexpr int kArenaSlotPlanes = 3;
+inline constexpr int kArenaSlots = 4;
 
 /// Grow-only aligned scratch slots; one instance per thread.
 class pack_arena {

@@ -1,5 +1,7 @@
 #include "split.hpp"
 
+#include <algorithm>
+
 #include "gemm_kernel.hpp"
 
 namespace dcmesh::blas::detail {
@@ -121,14 +123,12 @@ void pack_b_split(const float* b, blas_int ldb, transpose op, blas_int row0,
   }
 }
 
-std::vector<std::pair<int, int>> retained_products(int components) {
-  std::vector<std::pair<int, int>> pairs;
-  for (int order = 0; order <= components - 1; ++order) {
-    for (int i = 0; i <= order; ++i) {
-      pairs.emplace_back(i, order - i);
-    }
-  }
-  return pairs;
+std::span<const std::pair<int, int>> retained_products(
+    int components) noexcept {
+  static constexpr std::pair<int, int> kPairs[] = {
+      {0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {2, 0}};
+  const int n = std::clamp(components, 0, 3);
+  return {kPairs, static_cast<std::size_t>(n * (n + 1) / 2)};
 }
 
 }  // namespace dcmesh::blas::detail

@@ -16,8 +16,8 @@
 // copies, one blocked pass per product) lives on in the test tree as the
 // bit-exactness oracle.
 
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/compute_mode.hpp"
@@ -101,7 +101,9 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
 /// they are accumulated: all (i, j) with i + j <= N - 1 (0-based), sorted by
 /// ascending total order so the dominant (0,0) product is accumulated first.
 /// N=1 -> 1 product; N=2 -> 3; N=3 -> 6 (Table II's 16x, 16/3x, 8/3x).
-[[nodiscard]] std::vector<std::pair<int, int>> retained_products(
-    int components);
+/// A view of a static table (every N's list is a prefix of N=3's), so the
+/// GEMM path asks for it without allocating.
+[[nodiscard]] std::span<const std::pair<int, int>> retained_products(
+    int components) noexcept;
 
 }  // namespace dcmesh::blas::detail

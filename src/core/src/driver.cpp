@@ -301,7 +301,7 @@ void driver::wait_pending_checkpoint() {
 
 void driver::rollback_to_ring() {
   // The sealer must have pushed before we read the ring, and no other
-  // in-flight task (stray step graph stub, prepack) may touch engine
+  // in-flight task (stray step graph stub) may touch engine
   // state across the restore — quiesce the pool to a hard barrier.
   wait_pending_checkpoint();
   sched::quiesce_active_pool();

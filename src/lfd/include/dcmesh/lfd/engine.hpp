@@ -131,8 +131,7 @@ class lfd_engine {
 
   /// Advance one QD step and return its observables.  qd_step() routes
   /// here when DCMESH_SCHED selects the pool: the step's BLAS stages and
-  /// mesh kernels run as a dependency DAG on the persistent pool, with
-  /// remap_occ's B panel prepacked concurrently with nlp_prop's compute.
+  /// mesh kernels run as a dependency DAG on the persistent pool.
   /// Bit-identical to the serial path (every node writes disjoint
   /// outputs; every edge orders writer before reader).
   qd_record qd_step_pooled(sched::thread_pool& pool);

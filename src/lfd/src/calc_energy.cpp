@@ -1,9 +1,51 @@
 #include "dcmesh/lfd/calc_energy.hpp"
 
+#include <atomic>
+
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::lfd {
+namespace {
+
+/// K*Psi storage reused across steps.  The ngrid x norb temporary is
+/// fully overwritten by the stencil, so reuse changes no bits; allocating
+/// it every step instead leaves the heap fragmented (untrimmed free
+/// memory the process's peak RSS counts).  One caller at a time borrows
+/// the cached matrix; a concurrent or nested caller gets its own.
+template <typename C>
+class kpsi_scratch {
+ public:
+  kpsi_scratch(std::size_t rows, std::size_t cols)
+      : borrowed_(!busy().exchange(true, std::memory_order_acquire)) {
+    matrix<C>& m = borrowed_ ? cached() : own_;
+    if (m.rows() != rows || m.cols() != cols) m = matrix<C>(rows, cols);
+  }
+  ~kpsi_scratch() {
+    if (borrowed_) busy().store(false, std::memory_order_release);
+  }
+  kpsi_scratch(const kpsi_scratch&) = delete;
+  kpsi_scratch& operator=(const kpsi_scratch&) = delete;
+
+  [[nodiscard]] matrix<C>& get() noexcept {
+    return borrowed_ ? cached() : own_;
+  }
+
+ private:
+  static std::atomic<bool>& busy() noexcept {
+    static std::atomic<bool> flag{false};
+    return flag;
+  }
+  static matrix<C>& cached() noexcept {
+    static matrix<C> m;
+    return m;
+  }
+
+  bool borrowed_;
+  matrix<C> own_;
+};
+
+}  // namespace
 
 template <typename R>
 double energy_kinetic(const hamiltonian<R>& h,
@@ -15,7 +57,8 @@ double energy_kinetic(const hamiltonian<R>& h,
   const std::size_t norb = psi.cols();
   // K Psi via the stencil, then BLAS call 4:
   // T = dv * Psi^H (K Psi)   (norb x norb, k = ngrid)
-  matrix<C> kpsi(ngrid, norb);
+  kpsi_scratch<C> scratch(ngrid, norb);
+  matrix<C>& kpsi = scratch.get();
   h.apply_kinetic(psi.view(), kpsi.view());
   blas::gemm<C>(blas::transpose::conj_trans, blas::transpose::none,
                 C(static_cast<R>(dv)), psi.view(), kpsi.view(), C(0),

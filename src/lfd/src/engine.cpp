@@ -7,7 +7,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "dcmesh/blas/prepack.hpp"
 #include "dcmesh/common/aligned.hpp"
 #include "dcmesh/lfd/current.hpp"
 #include "dcmesh/mesh/stencil.hpp"
@@ -195,7 +194,6 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
   // node mutates h_, so setting it up front is the identical sequence.
   h_.set_field(a_now);
 
-  const std::size_t ngrid = psi_.rows();
   const std::size_t norb = psi_.cols();
   const std::size_t nunocc = norb - nocc_;
   const std::complex<double> c(0.0, -opt_.dt * opt_.v_nl);
@@ -210,18 +208,8 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
 
   // One QD step as a dependency DAG.  Edges order every writer before
   // its readers: psi_ is written by project then renorm; g_ by overlap;
-  // t_mat by kinetic; s by remap/overlap; o by moment1.  remap_occ's B
-  // panel (psi0's unoccupied block — frozen all step) is prepacked
-  // concurrently with nlp_prop's compute: pack of call 7 hidden behind
-  // calls 1-6.
+  // t_mat by kinetic; s by remap/overlap; o by moment1.
   sched::task_graph graph("lfd/qd_step");
-  const auto prepack = graph.add("remap/prepack_b", [&] {
-    blas::prepack_b<C>(blas::transpose::none,
-                       static_cast<blas::blas_int>(ngrid),
-                       static_cast<blas::blas_int>(nunocc),
-                       psi0_.data() + nocc_ * ngrid,
-                       static_cast<blas::blas_int>(ngrid));
-  });
   const auto overlap = graph.add(
       "nlp/overlap", [&] { nlp_overlap<R>(psi0_, psi_, dv(), g_); });
   const auto project = graph.add(
@@ -244,7 +232,7 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
             {kinetic});
   const auto roverlap = graph.add(
       "remap/overlap", [&] { remap_overlap<R>(psi0_, psi_, nocc_, dv(), s); },
-      {renorm, prepack});
+      {renorm});
   const auto moment1 = graph.add(
       "remap/moment1", [&] { nexc = remap_moment1<R>(s, occ_, o); },
       {roverlap});
@@ -260,15 +248,7 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
             },
             {renorm});
 
-  try {
-    graph.run(&pool);
-  } catch (...) {
-    // Unconsumed panels must not outlive the step: a stale pointer match
-    // against a future operand would be silent corruption.
-    blas::clear_prepacked();
-    throw;
-  }
-  blas::clear_prepacked();
+  graph.run(&pool);
 
   last_norm_drift_ = drift;
   t_ += opt_.dt;

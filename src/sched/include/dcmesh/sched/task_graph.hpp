@@ -2,8 +2,8 @@
 // task_graph.hpp — a QD step as a dependency DAG.
 //
 // The engine builds one small graph per step (a dozen-odd nodes: the 9
-// tagged BLAS stages, the mesh kernels, the remap_occ moments, the B-panel
-// prepack for the next call) and runs it either serially — insertion
+// tagged BLAS stages, the mesh kernels, the remap_occ moments) and runs
+// it either serially — insertion
 // order, calling thread, the bit-exactness oracle — or on the persistent
 // pool, where any node whose dependencies have retired may execute on any
 // worker while the caller helps.

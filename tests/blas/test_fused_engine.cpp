@@ -1,10 +1,12 @@
 // Tests for the fused split-mode GEMM engine: bit-exactness against the
 // pre-fusion reference path, scalar-vs-AVX2 microkernel equivalence, the
-// zero-allocation packing arena, and DCMESH_KERNEL_ISA handling.
+// zero-allocation packing arena (real and complex GEMMs), and
+// DCMESH_KERNEL_ISA handling.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdlib>
 #include <optional>
 #include <thread>
@@ -16,6 +18,8 @@
 #include "dcmesh/common/env.hpp"
 #include "dcmesh/common/rng.hpp"
 #include "gemm_kernel.hpp"
+#include "gemm_modes.hpp"
+#include "heap_counter.hpp"
 #include "kernel_isa.hpp"
 #include "pack_arena.hpp"
 #include "split.hpp"
@@ -472,7 +476,44 @@ TEST(Blocking, LegalizeRoundsToQuantaAndDefaults) {
 // ---------------------------------------------------------------------------
 // Packing arena.
 
+/// One complex GEMM through the fused complex engine, with unpadded
+/// operands and C = op(A) * op(B).
+template <typename R>
+struct complex_call {
+  transpose ta, tb;
+  blas_int m, n, k;
+  std::vector<std::complex<R>> a, b, c;
+
+  complex_call(transpose ta_, transpose tb_, blas_int m_, blas_int n_,
+               blas_int k_, unsigned seed)
+      : ta(ta_), tb(tb_), m(m_), n(n_), k(k_),
+        a(static_cast<std::size_t>(m * k)),
+        b(static_cast<std::size_t>(k * n)),
+        c(static_cast<std::size_t>(m * n)) {
+    const auto re = signed_random(2 * (a.size() + b.size()), seed);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = {re[2 * i], re[2 * i + 1]};
+    }
+    const std::size_t off = 2 * a.size();
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = {re[off + 2 * i], re[off + 2 * i + 1]};
+    }
+  }
+
+  void run(compute_mode mode) {
+    detail::gemm_at_mode(mode, ta, tb, m, n, k, std::complex<R>(1), a.data(),
+                         ta == transpose::none ? m : k, b.data(),
+                         tb == transpose::none ? k : n, std::complex<R>(0),
+                         c.data(), m);
+  }
+};
+
 TEST(PackArena, AllocationFreeAfterWarmup) {
+  // One thread, so the warmup sizes every arena the timed calls use: on
+  // the pool, which worker runs which row block varies from call to
+  // call, and a worker that first meets a block after the warmup grows
+  // its arena then.
+  set_num_threads(1);
   const blas_int m = 96, n = 80, k = 300;
   const auto a = signed_random(static_cast<std::size_t>(m * k), 11);
   const auto b = signed_random(static_cast<std::size_t>(k * n), 12);
@@ -482,18 +523,45 @@ TEST(PackArena, AllocationFreeAfterWarmup) {
     sgemm(transpose::none, transpose::none, m, n, k, 1.0f, a.data(), m,
           b.data(), k, 0.0f, c.data(), m);
   };
+  // The complex engine, CGEMM and ZGEMM: the tiny preset's 8x8x512
+  // overlap and 512x8x8 projection take the small path; 64x33x2100 is
+  // blocked and streams its panels.
+  const transpose C = transpose::conj_trans;
+  const transpose N = transpose::none;
+  complex_call<float> cgemms[] = {{C, N, 8, 8, 512, 13},
+                                  {N, N, 512, 8, 8, 14},
+                                  {C, N, 64, 33, 2100, 15}};
+  complex_call<double> zgemms[] = {{C, N, 8, 8, 512, 16},
+                                   {C, N, 64, 33, 2100, 17}};
+  const auto run_complex = [&] {
+    for (const compute_mode mode :
+         {compute_mode::standard, compute_mode::complex_3m,
+          compute_mode::float_to_bf16x2}) {
+      for (auto& call : cgemms) call.run(mode);
+      for (auto& call : zgemms) call.run(mode);
+    }
+  };
   // Warm both the standard and the largest split shape on this thread.
   run(compute_mode::standard);
   run(compute_mode::float_to_bf16x3);
+  run_complex();
   const std::uint64_t after_warmup = detail::pack_arena::total_allocations();
+  std::uint64_t complex_heap_calls = 0;
   for (int rep = 0; rep < 5; ++rep) {
     run(compute_mode::standard);
     run(compute_mode::float_to_bf16x3);
     run(compute_mode::float_to_bf16x2);  // smaller footprint: no regrowth
     run(compute_mode::float_to_tf32);
+    // The engine itself, without the dispatcher around the public call.
+    const std::uint64_t heap_before = test::heap_allocations();
+    run_complex();
+    complex_heap_calls += test::heap_allocations() - heap_before;
   }
   EXPECT_EQ(detail::pack_arena::total_allocations(), after_warmup)
       << "hot path allocated after warmup";
+  EXPECT_EQ(complex_heap_calls, 0u)
+      << "the complex engine called operator new after warmup";
+  set_num_threads(0);
 }
 
 TEST(PackArena, GrowOnlyAndAlignment) {
