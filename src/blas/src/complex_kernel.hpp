@@ -31,9 +31,7 @@
 // complex_kernels_* function.
 
 #include <complex>
-#include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #if defined(__FMA__)
 #include <immintrin.h>
@@ -43,14 +41,10 @@
 
 namespace dcmesh::blas::detail {
 
-/// W-lane GCC vectors of R, and the integer vectors of the same shape
-/// that index their shuffles.
+/// W-lane vectors of R (the GCC vector extension, which clang shares).
 template <typename R, int W>
 struct lanes_of {
   typedef R vec __attribute__((vector_size(W * sizeof(R))));
-  using index =
-      std::conditional_t<sizeof(R) == 4, std::int32_t, std::int64_t>;
-  typedef index mask __attribute__((vector_size(W * sizeof(R))));
 };
 
 /// Tile rows: one 32-byte vector of R per tile column (8 floats, 4

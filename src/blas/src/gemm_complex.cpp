@@ -24,8 +24,10 @@
 // so every Pr element sees all of its rr slices before any ii slice, as
 // it does when Ar*Br and Ai*Bi are separate GEMMs.  3M is one pass: its
 // three products accumulate into three separate plane products.  The
-// running products live in the pack arena, one region per row block,
-// never as per-slice partials, and nothing here allocates after warmup.
+// running products live in the pack arena of the thread running the row
+// block (at most MC x NC per plane, or the resident cap on the small
+// path), never as per-slice partials, and nothing here allocates after
+// warmup.
 //
 // Split modes apply to the component products and keep their per-product
 // sgemm_split route, reading dense planes from the arena.
@@ -49,8 +51,9 @@ namespace dcmesh::blas {
 namespace detail {
 namespace {
 
-/// Calls of at most this many complex multiply-adds run as one block on
-/// the calling thread: no MC/NC partition and no team fork.  Covers every
+/// Calls of at most this many complex multiply-adds, whose running plane
+/// products fit kResidentBytes, run as one block on the calling thread:
+/// no MC/NC partition and no team fork.  Covers every
 /// LFD call of the tiny preset (the largest, 8x8x512 and 512x8x8, are
 /// 2^15) and the 32x32x32 subspace calls of the scaled one.
 constexpr double kSmallMacs = 1 << 18;
@@ -117,36 +120,35 @@ inline void put(const plane_set<R>& out, blas_int at, std::complex<R> x) {
   if (out.sum) out.sum[at] = xr + xi;
 }
 
-/// Shuffle masks over the concatenation (a, b): even or odd elements
-/// (re / im of W interleaved complex numbers), and the two halves of one
-/// transpose butterfly stage, which swaps index bit B between row and
-/// column: row r with bit B clear takes a[c] where c has it clear and
-/// b[c ^ B] where set; the row with bit B set takes the complement.
-template <typename M, int... C>
-constexpr M stride2_mask(int odd, std::integer_sequence<int, C...>) {
-  return M{(2 * C + odd)...};
+/// Shuffles of the concatenation (a, b) of two W-lane vectors: the even
+/// or odd elements (re / im of W interleaved complex numbers), and the
+/// two halves of one transpose butterfly stage, which swaps index bit B
+/// between row and column: row r with bit B clear takes a[c] where c has
+/// it clear and b[c ^ B] where set; the row with bit B set takes the
+/// complement.  __builtin_shufflevector (GCC 12+, clang) takes constant
+/// indices, expanded here from the lane sequence.
+template <int Odd, typename V, int... C>
+inline V stride2(V a, V b, std::integer_sequence<int, C...>) {
+  return __builtin_shufflevector(a, b, (2 * C + Odd)...);
 }
-template <typename M, int W, int B, int... C>
-constexpr M butterfly_low(std::integer_sequence<int, C...>) {
-  return M{((C & B) == 0 ? C : W + (C ^ B))...};
+template <int W, int B, typename V, int... C>
+inline V butterfly_low(V a, V b, std::integer_sequence<int, C...>) {
+  return __builtin_shufflevector(a, b, ((C & B) == 0 ? C : W + (C ^ B))...);
 }
-template <typename M, int W, int B, int... C>
-constexpr M butterfly_high(std::integer_sequence<int, C...>) {
-  return M{((C & B) != 0 ? W + C : (C ^ B))...};
+template <int W, int B, typename V, int... C>
+inline V butterfly_high(V a, V b, std::integer_sequence<int, C...>) {
+  return __builtin_shufflevector(a, b, ((C & B) != 0 ? W + C : (C ^ B))...);
 }
 
 template <typename R, int W, int B>
 inline void transpose_stage(typename lanes_of<R, W>::vec (&v)[W]) {
-  using M = typename lanes_of<R, W>::mask;
   constexpr auto seq = std::make_integer_sequence<int, W>{};
-  constexpr M low = butterfly_low<M, W, B>(seq);
-  constexpr M high = butterfly_high<M, W, B>(seq);
   for (int r = 0; r < W; ++r) {
     if (r & B) continue;
     const auto a = v[r];
     const auto b = v[r | B];
-    v[r] = __builtin_shuffle(a, b, low);
-    v[r | B] = __builtin_shuffle(a, b, high);
+    v[r] = butterfly_low<W, B>(a, b, seq);
+    v[r | B] = butterfly_high<W, B>(a, b, seq);
   }
 }
 
@@ -163,13 +165,12 @@ template <typename R, int W>
 inline void load_split(const std::complex<R>* src,
                        typename lanes_of<R, W>::vec& re,
                        typename lanes_of<R, W>::vec& im) {
-  using L = lanes_of<R, W>;
   constexpr auto seq = std::make_integer_sequence<int, W>{};
-  typename L::vec lo, hi;
+  typename lanes_of<R, W>::vec lo, hi;
   std::memcpy(&lo, src, sizeof(lo));
   std::memcpy(&hi, src + W / 2, sizeof(hi));
-  re = __builtin_shuffle(lo, hi, stride2_mask<typename L::mask>(0, seq));
-  im = __builtin_shuffle(lo, hi, stride2_mask<typename L::mask>(1, seq));
+  re = stride2<0>(lo, hi, seq);
+  im = stride2<1>(lo, hi, seq);
 }
 
 /// Stores step p's lane vectors (re, im) to every plane.
@@ -299,7 +300,13 @@ void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
   const op_steps sb = steps_of(transb, ldb);
   const bool conj_a = transa == transpose::conj_trans;
   const bool conj_b = transb == transpose::conj_trans;
-  const bool small = static_cast<double>(m) * n * k <= kSmallMacs;
+  // A small call is one block whose running products fit the resident
+  // cap, so that scratch stays bounded however tall or wide C is.
+  const std::size_t small_p_bytes =
+      static_cast<std::size_t>((m + mr - 1) / mr * mr) *
+      ((n + nr - 1) / nr * nr) * planes * sizeof(R);
+  const bool small = static_cast<double>(m) * n * k <= kSmallMacs &&
+                     small_p_bytes <= kResidentBytes;
   const gemm_blocking blk = small ? gemm_blocking{m, n} : effective_blocking();
   const blas_int ic_blocks = (m + blk.mc - 1) / blk.mc;
 
@@ -329,28 +336,24 @@ void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
       }
     }
 
-    // Running plane products, one region per block: column-major with
-    // the block's rows padded to whole strips and nc to whole strips, so
-    // the kernel always adds full tiles and blocks never share a line.
-    const blas_int ldp_max = (std::min(blk.mc, m) + mr - 1) / mr * mr;
-    const std::size_t p_stride =
-        static_cast<std::size_t>(ldp_max) * n_strips * nr;
-    R* prod = pack_arena::for_thread().acquire<R>(
-        kArenaSlotP, static_cast<std::size_t>(ic_blocks) * planes * p_stride);
-
     const auto run_block = [&](blas_int ib) {
       const blas_int ic = ib * blk.mc;
       const blas_int mc = std::min<blas_int>(blk.mc, m - ic);
       const blas_int m_strips = (mc + mr - 1) / mr;
       const blas_int ldp = m_strips * mr;
-      R* pr = prod + static_cast<std::size_t>(ib) * planes * p_stride;
+      // The block's running plane products, on the thread that runs it:
+      // column-major with mc and nc padded to whole strips, so the kernel
+      // always adds full tiles.
+      const std::size_t p_stride =
+          static_cast<std::size_t>(ldp) * n_strips * nr;
+      pack_arena& arena = pack_arena::for_thread();
+      R* pr = arena.acquire<R>(kArenaSlotP, planes * p_stride);
       std::fill_n(pr, planes * p_stride, R(0));
       const std::size_t a_stride =
           static_cast<std::size_t>(m_strips) * kc_max * mr;
       const bool a_resident = static_cast<std::size_t>(num_pc) * planes *
                                   a_stride * sizeof(R) <=
                               kResidentBytes;
-      pack_arena& arena = pack_arena::for_thread();
       R* a_panels = arena.acquire<R>(
           kArenaSlotA, (a_resident ? num_pc : 1) * planes * a_stride);
       R* b_block = b_shared ? nullptr

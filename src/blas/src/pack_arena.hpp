@@ -78,6 +78,11 @@ class pack_arena {
     return reinterpret_cast<T*>(s.bytes);
   }
 
+  /// Bytes `slot` holds now: the largest acquire it has served.
+  [[nodiscard]] std::size_t capacity(int slot) const noexcept {
+    return slots_[slot].capacity;
+  }
+
   /// This thread's arena.
   [[nodiscard]] static pack_arena& for_thread() {
     thread_local pack_arena arena;

@@ -180,8 +180,9 @@ TEST(ComplexEngine, SplitModesReadPlanesBitIdentically) {
 
 /// Shapes past the small path: several MC and NC blocks, B panels too
 /// large to share and A blocks too large to keep resident across 4M's
-/// two passes, and a single-slice tall product like the scaled preset's
-/// projection.
+/// two passes, a single-slice tall product like the scaled preset's
+/// projection, and a tall thin call under the small path's multiply-add
+/// count whose running products would not fit its scratch cap.
 struct blocked_shape {
   transpose ta, tb;
   blas_int m, n, k;
@@ -191,6 +192,7 @@ constexpr blocked_shape kBlockedShapes[] = {
     {transpose::none, transpose::none, 600, 40, 40},
     {transpose::trans, transpose::conj_trans, 150, 530, 300},
     {transpose::none, transpose::trans, 77, 20, 700},
+    {transpose::none, transpose::conj_trans, 3000, 24, 3},
 };
 
 TEST(ComplexEngine, BlockedPathBitIdenticalSerialAndPooled) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include "dcmesh/blas/compute_mode.hpp"
 #include "dcmesh/common/env.hpp"
 #include "dcmesh/common/rng.hpp"
+#include "dcmesh/sched/config.hpp"
 #include "gemm_kernel.hpp"
 #include "gemm_modes.hpp"
 #include "heap_counter.hpp"
@@ -508,12 +511,34 @@ struct complex_call {
   }
 };
 
+/// Grows the arena of every thread in the kernel team to the calling
+/// thread's slot sizes, so calls the caller has already run serially find
+/// their scratch whichever team thread runs which block.  The team is the
+/// caller plus thread_count() - 1 pool workers; each of its thread_count()
+/// tasks waits for all the others, so each runs on its own thread.
+void grow_team_arenas() {
+  std::size_t bytes[detail::kArenaSlots];
+  const auto& mine = detail::pack_arena::for_thread();
+  for (int s = 0; s < detail::kArenaSlots; ++s) bytes[s] = mine.capacity(s);
+  const long team = sched::thread_count();
+  std::atomic<long> arrived{0};
+  sched::team_parallel_for(team, [&](long) {
+    auto& arena = detail::pack_arena::for_thread();
+    for (int s = 0; s < detail::kArenaSlots; ++s) {
+      (void)arena.acquire<std::byte>(s, bytes[s]);
+    }
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < team &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_EQ(arrived.load(), team) << "team tasks did not run concurrently";
+}
+
 TEST(PackArena, AllocationFreeAfterWarmup) {
-  // One thread, so the warmup sizes every arena the timed calls use: on
-  // the pool, which worker runs which row block varies from call to
-  // call, and a worker that first meets a block after the warmup grows
-  // its arena then.
-  set_num_threads(1);
   const blas_int m = 96, n = 80, k = 300;
   const auto a = signed_random(static_cast<std::size_t>(m * k), 11);
   const auto b = signed_random(static_cast<std::size_t>(k * n), 12);
@@ -524,44 +549,58 @@ TEST(PackArena, AllocationFreeAfterWarmup) {
           b.data(), k, 0.0f, c.data(), m);
   };
   // The complex engine, CGEMM and ZGEMM: the tiny preset's 8x8x512
-  // overlap and 512x8x8 projection take the small path; 64x33x2100 is
-  // blocked and streams its panels.
+  // overlap and 512x8x8 projection take the small path; 200x33x2100 is
+  // blocked over several row blocks and streams its panels.
   const transpose C = transpose::conj_trans;
   const transpose N = transpose::none;
   complex_call<float> cgemms[] = {{C, N, 8, 8, 512, 13},
                                   {N, N, 512, 8, 8, 14},
-                                  {C, N, 64, 33, 2100, 15}};
+                                  {C, N, 200, 33, 2100, 15}};
   complex_call<double> zgemms[] = {{C, N, 8, 8, 512, 16},
-                                   {C, N, 64, 33, 2100, 17}};
+                                   {C, N, 200, 33, 2100, 17}};
+  // The engine itself, without the dispatcher around the public call;
+  // returns the operator new calls it made.
   const auto run_complex = [&] {
+    const std::uint64_t heap_before = test::heap_allocations();
     for (const compute_mode mode :
          {compute_mode::standard, compute_mode::complex_3m,
           compute_mode::float_to_bf16x2}) {
       for (auto& call : cgemms) call.run(mode);
       for (auto& call : zgemms) call.run(mode);
     }
+    return test::heap_allocations() - heap_before;
   };
-  // Warm both the standard and the largest split shape on this thread.
-  run(compute_mode::standard);
-  run(compute_mode::float_to_bf16x3);
-  run_complex();
-  const std::uint64_t after_warmup = detail::pack_arena::total_allocations();
-  std::uint64_t complex_heap_calls = 0;
-  for (int rep = 0; rep < 5; ++rep) {
+  const auto run_all = [&] {
     run(compute_mode::standard);
     run(compute_mode::float_to_bf16x3);
     run(compute_mode::float_to_bf16x2);  // smaller footprint: no regrowth
     run(compute_mode::float_to_tf32);
-    // The engine itself, without the dispatcher around the public call.
-    const std::uint64_t heap_before = test::heap_allocations();
-    run_complex();
-    complex_heap_calls += test::heap_allocations() - heap_before;
-  }
+    return run_complex();
+  };
+
+  // Serial: every block runs on this thread, so one warmup sizes its
+  // arena for all of them.
+  set_num_threads(1);
+  (void)run_all();
+  std::uint64_t after_warmup = detail::pack_arena::total_allocations();
+  std::uint64_t complex_heap_calls = 0;
+  for (int rep = 0; rep < 5; ++rep) complex_heap_calls += run_all();
   EXPECT_EQ(detail::pack_arena::total_allocations(), after_warmup)
-      << "hot path allocated after warmup";
+      << "serial hot path allocated after warmup";
   EXPECT_EQ(complex_heap_calls, 0u)
-      << "the complex engine called operator new after warmup";
+      << "the serial complex engine called operator new after warmup";
+
+  // Pooled: which team thread runs which row block varies from call to
+  // call, so first grow every team arena to the serial sizes.
   set_num_threads(0);
+  grow_team_arenas();
+  after_warmup = detail::pack_arena::total_allocations();
+  complex_heap_calls = 0;
+  for (int rep = 0; rep < 5; ++rep) complex_heap_calls += run_all();
+  EXPECT_EQ(detail::pack_arena::total_allocations(), after_warmup)
+      << "pooled hot path allocated after warmup";
+  EXPECT_EQ(complex_heap_calls, 0u)
+      << "the pooled complex engine called operator new after warmup";
 }
 
 TEST(PackArena, GrowOnlyAndAlignment) {
