@@ -1,5 +1,6 @@
 #include "dcmesh/lfd/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -84,52 +85,47 @@ void lfd_engine<R>::propagate_local(double a_mid) {
         "(||H||*dt > 2); refine dt or coarsen the mesh");
   }
 
-  const auto taylor_with = [&](auto&& apply_op) {
-    // psi <- sum_{n=0}^{N} (-i Op dt)^n / n! psi
-    for (std::size_t i = 0; i < psi_.size(); ++i) {
-      scratch_term_.data()[i] = psi_.data()[i];
-    }
+  // psi <- sum_{n=0}^{N} (-i Op dt)^n / n! psi.  The recurrence is
+  // sequential in n, but every term of column j depends only on column j,
+  // so each team member runs whole columns: N applies and updates while
+  // the column's psi, term and H-term stay in its cache.
+  using part = typename hamiltonian<R>::part;
+  const std::size_t ngrid = psi_.rows();
+  const auto taylor_column = [&](part op, std::size_t j) {
+    C* psi = psi_.data() + j * ngrid;
+    C* term = scratch_term_.data() + j * ngrid;
+    C* h = scratch_h_.data() + j * ngrid;
+    std::copy_n(psi, ngrid, term);
     for (int n = 1; n <= opt_.taylor_order; ++n) {
-      apply_op(scratch_term_.view(), scratch_h_.view());
+      h_.apply_column(op, {term, ngrid}, {h, ngrid});
       const double scale = opt_.dt / static_cast<double>(n);
       const C coeff(0, static_cast<R>(-scale));  // (-i dt / n)
-      for (std::size_t i = 0; i < psi_.size(); ++i) {
-        scratch_term_.data()[i] = coeff * scratch_h_.data()[i];
-        psi_.data()[i] += scratch_term_.data()[i];
+      for (std::size_t g = 0; g < ngrid; ++g) {
+        term[g] = coeff * h[g];
+        psi[g] += term[g];
       }
     }
   };
+  const long ncols = static_cast<long>(psi_.cols());
 
   if (opt_.propagator == propagator_kind::taylor) {
-    taylor_with([this](const_matrix_view<C> in, matrix_view<C> out) {
-      h_.apply(in, out);
+    sched::team_parallel_for(ncols, [&](long j) {
+      taylor_column(part::full, static_cast<std::size_t>(j));
     });
     return;
   }
 
   // Strang: exp(-i D dt/2) exp(-i T dt) exp(-i D dt/2) with D = V + A^2/2
   // applied as an exact elementwise phase (unitary by construction).
-  const std::span<const R> v = h_.potential();
-  const std::size_t ngrid = psi_.rows();
   aligned_buffer<C> phase(ngrid);
-  const double half_a2 = 0.5 * a_mid * a_mid;
-  for (std::size_t g = 0; g < ngrid; ++g) {
-    const double angle =
-        -0.5 * opt_.dt * (static_cast<double>(v[g]) + half_a2);
-    phase[g] = C(static_cast<R>(std::cos(angle)),
-                 static_cast<R>(std::sin(angle)));
-  }
-  const auto apply_phase = [&] {
-    for (std::size_t j = 0; j < psi_.cols(); ++j) {
-      C* col = psi_.data() + j * ngrid;
-      for (std::size_t g = 0; g < ngrid; ++g) col[g] *= phase[g];
-    }
-  };
-  apply_phase();
-  taylor_with([this](const_matrix_view<C> in, matrix_view<C> out) {
-    h_.apply_kinetic_field(in, out);
+  strang_phase<R>(h_, opt_.dt, phase.span());
+  sched::team_parallel_for(ncols, [&](long j) {
+    const auto col = static_cast<std::size_t>(j);
+    const std::span<C> psi{psi_.data() + col * ngrid, ngrid};
+    multiply_phase<R>(psi, phase.span());
+    taylor_column(part::kinetic_field, col);
+    multiply_phase<R>(psi, phase.span());
   });
-  apply_phase();
 }
 
 template <typename R>
@@ -182,9 +178,9 @@ qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
   using C = std::complex<R>;
   trace::span step_span("lfd/qd_step", "sched");
 
-  // Serial prologue: the local propagation's Taylor iterations are an
-  // inherently sequential recurrence (its stencil applications already
-  // run on the pool's worker team via team_parallel_for).
+  // Prologue outside the graph: the local propagation is sequential in
+  // its Taylor terms but not across columns, so it runs column-parallel
+  // on the pool's worker team (team_parallel_for) before the graph.
   const double a_mid = opt_.pulse.a(t_ + 0.5 * opt_.dt);
   propagate_local(a_mid);
 

@@ -7,37 +7,6 @@
 #include "dcmesh/sched/config.hpp"
 
 namespace dcmesh::lfd {
-namespace {
-
-// The column sweep behind apply, apply_kinetic and apply_kinetic_field:
-// out = (diag + shift) .* psi (zero without `diag`), then += T psi, then
-// += (-i A d/dz) psi when a != 0.  Columns are independent, so the sweep
-// runs on the scheduler's worker team.
-template <typename R>
-void sweep_columns(const mesh::grid3d& grid, mesh::fd_order order, int axis,
-                   const R* diag, R shift, R a,
-                   const_matrix_view<std::complex<R>> psi,
-                   matrix_view<std::complex<R>> out) {
-  using C = std::complex<R>;
-  const std::size_t ngrid = psi.rows;
-  sched::team_parallel_for(static_cast<long>(psi.cols), [&](long j) {
-    const std::span<const C> in{psi.col(static_cast<std::size_t>(j)), ngrid};
-    const std::span<C> dst{out.col(static_cast<std::size_t>(j)), ngrid};
-    if (diag) {
-      for (std::size_t g = 0; g < ngrid; ++g) {
-        dst[g] = (diag[g] + shift) * in[g];
-      }
-    } else {
-      std::fill(dst.begin(), dst.end(), C(0));
-    }
-    mesh::add_kinetic<R>(grid, order, in, C(1), dst);
-    if (a != R(0)) {
-      mesh::add_gradient<R>(grid, order, axis, in, C{0, -a}, dst);
-    }
-  });
-}
-
-}  // namespace
 
 template <typename R>
 hamiltonian<R>::hamiltonian(mesh::grid3d grid, mesh::fd_order order,
@@ -67,26 +36,48 @@ void hamiltonian<R>::set_potential(std::vector<double> v_loc) {
 }
 
 template <typename R>
+void hamiltonian<R>::apply_column(part which,
+                                  std::span<const std::complex<R>> psi,
+                                  std::span<std::complex<R>> out) const {
+  // (V + A^2/2) .* psi, then T psi, then -i A d/dz psi (skipped at A = 0),
+  // in one pass per point.
+  const bool full = which == part::full;
+  const R a = which == part::kinetic ? R(0) : static_cast<R>(a_field_);
+  mesh::apply_local_column<R>(
+      grid_, order_, full ? v_.data() : nullptr,
+      full ? static_cast<R>(0.5 * a_field_ * a_field_) : R(0), axis_,
+      std::complex<R>{0, -a}, psi, out);
+}
+
+template <typename R>
+void hamiltonian<R>::apply_columns(part which,
+                                   const_matrix_view<std::complex<R>> psi,
+                                   matrix_view<std::complex<R>> out) const {
+  // Columns are independent, so they run on the scheduler's worker team.
+  const std::size_t ngrid = psi.rows;
+  sched::team_parallel_for(static_cast<long>(psi.cols), [&](long j) {
+    const auto col = static_cast<std::size_t>(j);
+    apply_column(which, {psi.col(col), ngrid}, {out.col(col), ngrid});
+  });
+}
+
+template <typename R>
 void hamiltonian<R>::apply(const_matrix_view<std::complex<R>> psi,
                            matrix_view<std::complex<R>> out) const {
-  // Local potential + diamagnetic term first (overwrites out).
-  sweep_columns<R>(grid_, order_, axis_, v_.data(),
-                   static_cast<R>(0.5 * a_field_ * a_field_),
-                   static_cast<R>(a_field_), psi, out);
+  apply_columns(part::full, psi, out);
 }
 
 template <typename R>
 void hamiltonian<R>::apply_kinetic(const_matrix_view<std::complex<R>> psi,
                                    matrix_view<std::complex<R>> out) const {
-  sweep_columns<R>(grid_, order_, axis_, nullptr, R(0), R(0), psi, out);
+  apply_columns(part::kinetic, psi, out);
 }
 
 template <typename R>
 void hamiltonian<R>::apply_kinetic_field(
     const_matrix_view<std::complex<R>> psi,
     matrix_view<std::complex<R>> out) const {
-  sweep_columns<R>(grid_, order_, axis_, nullptr, R(0),
-                   static_cast<R>(a_field_), psi, out);
+  apply_columns(part::kinetic_field, psi, out);
 }
 
 template <typename R>
@@ -99,6 +90,32 @@ double hamiltonian<R>::spectral_bound() const noexcept {
   return kinetic + std::max(std::abs(v_min_), std::abs(v_max_)) + field_term;
 }
 
+template <typename R>
+void strang_phase(const hamiltonian<R>& h, double dt,
+                  std::span<std::complex<R>> phase) {
+  const std::span<const R> v = h.potential();
+  const double half_a2 = 0.5 * h.field() * h.field();
+  for (std::size_t g = 0; g < phase.size(); ++g) {
+    const double angle = -0.5 * dt * (static_cast<double>(v[g]) + half_a2);
+    phase[g] = std::complex<R>(static_cast<R>(std::cos(angle)),
+                               static_cast<R>(std::sin(angle)));
+  }
+}
+
+template <typename R>
+void multiply_phase(std::span<std::complex<R>> psi,
+                    std::span<const std::complex<R>> phase) {
+  for (std::size_t g = 0; g < psi.size(); ++g) psi[g] *= phase[g];
+}
+
+template void strang_phase<float>(const hamiltonian<float>&, double,
+                                  std::span<std::complex<float>>);
+template void strang_phase<double>(const hamiltonian<double>&, double,
+                                   std::span<std::complex<double>>);
+template void multiply_phase<float>(std::span<std::complex<float>>,
+                                    std::span<const std::complex<float>>);
+template void multiply_phase<double>(std::span<std::complex<double>>,
+                                     std::span<const std::complex<double>>);
 template class hamiltonian<float>;
 template class hamiltonian<double>;
 

@@ -6,7 +6,8 @@
 // Both 2nd- and 4th-order variants are provided; DCMESH-like accuracy runs
 // use 4th order.  Operators act on one orbital (a column of the
 // wave-function matrix) at a time and are templated over the scalar so the
-// FP32 and FP64 LFD variants share code.
+// FP32 and FP64 LFD variants share code.  `psi` and `out` must not
+// overlap.
 
 #include <complex>
 #include <span>
@@ -31,6 +32,18 @@ template <typename R>
 void add_gradient(const grid3d& grid, fd_order order, int axis,
                   std::span<const std::complex<R>> psi, std::complex<R> coeff,
                   std::span<std::complex<R>> out);
+
+/// The local Hamiltonian's mesh part on one column, one pass per point:
+///   out = (diag + shift) .* psi           (zero when diag is null)
+///       + (-1/2) nabla^2 psi
+///       + grad_coeff * d(psi)/d(axis)     (skipped when grad_coeff == 0)
+/// Bit-identical to the three passes it fuses: that diagonal fill, then
+/// add_kinetic with coeff 1, then add_gradient with grad_coeff.
+template <typename R>
+void apply_local_column(const grid3d& grid, fd_order order, const R* diag,
+                        R shift, int axis, std::complex<R> grad_coeff,
+                        std::span<const std::complex<R>> psi,
+                        std::span<std::complex<R>> out);
 
 /// Largest eigenvalue of the discrete kinetic operator (stability bound
 /// for explicit time stepping: need dt * lambda_max well below the Taylor

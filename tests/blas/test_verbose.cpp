@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/gemm_call.hpp"
 #include "dcmesh/blas/trsm.hpp"
@@ -25,6 +27,13 @@
 
 namespace dcmesh::blas {
 namespace {
+
+/// A JSONL path under TempDir() unique to this process, so concurrent
+/// test_blas runs do not write or remove each other's sink files.
+std::string per_process_path(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "." + std::to_string(getpid()) +
+         ".jsonl";
+}
 
 class VerboseTest : public ::testing::Test {
  protected:
@@ -166,8 +175,7 @@ TEST_F(VerboseTest, UnwritableJsonSinkWarnsAndKeepsRunning) {
 }
 
 TEST_F(VerboseTest, JsonSinkWritesOneObjectPerCall) {
-  const std::string path =
-      ::testing::TempDir() + "/dcmesh_verbose_sink_test.jsonl";
+  const std::string path = per_process_path("dcmesh_verbose_sink_test");
   std::remove(path.c_str());
   env_set(kVerboseJsonEnvVar, path);
 
@@ -227,8 +235,7 @@ TEST_F(VerboseTest, EverySinkAgreesOnOneCall) {
   // One tagged SGEMM with an injected output bitflip that ABFT corrects,
   // the health scan on, and every sink on: text line, JSON line, span,
   // metrics row and log entry all render the one record.
-  const std::string path =
-      ::testing::TempDir() + "/dcmesh_verbose_agree_test.jsonl";
+  const std::string path = per_process_path("dcmesh_verbose_agree_test");
   std::remove(path.c_str());
   env_set(kVerboseEnvVar, "1");
   env_set(kVerboseJsonEnvVar, path);
