@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -308,7 +309,7 @@ campaign_result run_campaign(const std::vector<campaign_run>& runs,
                  alive > options.timeout_seconds) {
         worker.timed_out = true;
         std::fprintf(stderr,
-                     "dcmesh-farm: %s exceeded the %.0f s timeout; "
+                     "dcmesh-farm: %s exceeded the %g s timeout; "
                      "killing it\n",
                      runs[worker.run_index].id.c_str(),
                      options.timeout_seconds);
@@ -316,7 +317,23 @@ campaign_result run_campaign(const std::vector<campaign_run>& runs,
       }
       ++i;
     }
-    if (!active.empty()) ::usleep(20000);
+    // Poll every 20 ms, but wake at the next timeout or fault-plan
+    // deadline: a run that overstays a budget shorter than the poll
+    // interval must be killed, not reaped as "ok" on the next sweep.
+    if (!active.empty()) {
+      const double now = now_seconds();
+      double wait = 0.02;
+      for (const active_worker& worker : active) {
+        double deadline = worker.started + options.timeout_seconds;
+        if (worker.kill_armed && !worker.farm_killed && plan) {
+          deadline = std::min(deadline, worker.started + plan->after_seconds);
+        }
+        if (!worker.timed_out && !worker.farm_killed) {
+          wait = std::min(wait, deadline - now);
+        }
+      }
+      if (wait > 0) ::usleep(static_cast<useconds_t>(wait * 1e6) + 1);
+    }
   }
 
   (void)write_report(options.report, result, options);
