@@ -23,14 +23,14 @@ namespace dcmesh::blas {
 /// How an `auto` decision was produced (annotated on verbose records,
 /// metrics, and trace spans so runs are auditable).
 enum class auto_provenance {
-  none,        ///< Call was not auto-resolved.
-  calibrated,  ///< Modes were timed + error-measured on this resolve.
-  cached,      ///< Served from the in-memory or on-disk wisdom cache.
-  modeled,     ///< Shape too small to time; cost model ranked the modes.
-  defaulted,   ///< No resolver installed (or it declined): standard.
+  none,       ///< Call was not auto-resolved.
+  cached,     ///< Served from the in-memory or on-disk wisdom cache.
+  modeled,    ///< Cold key: modes error-measured on this resolve, the
+              ///< survivors ranked by the device cost model.
+  defaulted,  ///< No resolver installed (or it declined): standard.
 };
 
-/// Display name of a provenance: "calibrated", "cached", ...
+/// Display name of a provenance: "cached", "modeled", ...
 [[nodiscard]] std::string_view name(auto_provenance provenance) noexcept;
 
 /// One auto-resolution request: the identity and shape of the call whose
@@ -46,27 +46,20 @@ struct auto_tune_request {
   /// Per-site componentwise error budget in ULPs of the storage precision
   /// (the rule's ulp= flag); 0 = use the tuner's default budget.
   double ulp_budget = 0.0;
-  /// The resolved call will run under ABFT checksums: the tuner measures
-  /// and wisdom-records the checksum overhead for this shape class so the
-  /// choice (and its recorded cost) accounts for it.
-  bool abft = false;
 };
 
 /// The resolver's answer.
 struct auto_tune_choice {
   compute_mode mode = compute_mode::standard;
   auto_provenance provenance = auto_provenance::defaulted;
-  /// Measured (calibrated/cached) or bounded (modeled) componentwise
-  /// error of `mode` in storage-precision ULPs; 0 when unknown.
+  /// Measured componentwise error of `mode` on the calibration operands,
+  /// in storage-precision ULPs; 0 when unknown.
   double err_ulp = 0.0;
   /// Tuned cache blocking (MC/NC) for this shape class; 0 = no tuned
   /// blocking, use the per-ISA defaults.  Blocking only partitions the
   /// output sweep, so applying it never changes results bit-for-bit.
   blas_int block_m = 0;
   blas_int block_n = 0;
-  /// Measured ABFT (abft=correct) time overhead for this shape class as a
-  /// fraction of the plain call (0.15 = +15%); 0 when never measured.
-  double abft_overhead = 0.0;
 };
 
 using auto_tune_fn =

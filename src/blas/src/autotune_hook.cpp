@@ -22,7 +22,6 @@ std::shared_ptr<const auto_tune_fn> hook_snapshot() {
 std::string_view name(auto_provenance provenance) noexcept {
   switch (provenance) {
     case auto_provenance::none: return "none";
-    case auto_provenance::calibrated: return "calibrated";
     case auto_provenance::cached: return "cached";
     case auto_provenance::modeled: return "modeled";
     case auto_provenance::defaulted: return "defaulted";

@@ -538,7 +538,7 @@ call_plan plan_call(const gemm_call<T>& call) {
     const auto choice = auto_tune_resolve(
         {call.call_site, gemm_traits<T>::routine, call.m, call.n, call.k,
          gemm_traits<T>::is_complex, gemm_traits<T>::is_fp64,
-         plan.res.ulp_budget, plan.abft != resil::abft_mode::off});
+         plan.res.ulp_budget});
     if (choice) {
       plan.res.mode = choice->mode;
       plan.tune = choice->provenance;

@@ -63,8 +63,7 @@ driver::driver(run_config config)
   // the default single-stack spec and frozen calibration.
   xehpc::install_trace_gemm_model();
   // Back AUTO policy rules with the process-wide autotuner (wisdom cached
-  // under DCMESH_TUNE_CACHE).  Installing after the roofline model means
-  // shapes too small to time rank by the roofline, not Table II peaks.
+  // under DCMESH_TUNE_CACHE); it ranks modes by the same default roofline.
   tune::install_auto_tuner();
   qxmd::seed_velocities(atoms_, config_.temperature_k, config_.seed + 1);
   integrator_.initialize(atoms_);

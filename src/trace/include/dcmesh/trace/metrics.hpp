@@ -29,8 +29,9 @@ struct gemm_site_counters {
   std::uint64_t fallback_promotions = 0;  ///< Guard re-ran at higher mode.
   /// Calls per resolved compute-mode token ("STANDARD", "BF16", ...).
   std::map<std::string, std::uint64_t, std::less<>> mode_calls;
-  /// Auto-resolved calls per decision provenance ("calibrated", "cached",
-  /// "modeled", "defaulted"); empty when the site never ran under `auto`.
+  /// Auto-resolved calls per decision provenance ("modeled" for a cold
+  /// key, "cached", "defaulted"); empty when the site never ran under
+  /// `auto`.
   std::map<std::string, std::uint64_t, std::less<>> tune_calls;
 };
 

@@ -3,22 +3,33 @@
 //
 // The paper's central result is that the best BLAS compute mode depends on
 // matrix shape and accuracy budget; its artifact picks modes by hand.  The
-// autotuner makes the system pick them itself, by measurement: for each
-// (call-site, routine, shape-class) key it
+// autotuner makes the system pick them itself: for each (call-site,
+// routine, shape-class) key it
 //
 //  1. runs every eligible compute mode once on deterministic sample
-//     operands and measures the componentwise error of each against an
-//     FP64 reference (in ULPs of the storage precision);
+//     operands (seeded from the key) and measures the componentwise error
+//     of each against an FP64 reference (in ULPs of the storage
+//     precision);
 //  2. discards modes whose error exceeds the site's ULP budget
 //     (rule flag `ulp=`, else DCMESH_TUNE_ULP_BUDGET, else
 //     kDefaultUlpBudget);
-//  3. ranks the survivors: by measured wall time on the real blocked
-//     kernels when the shape is big enough to time reliably, otherwise by
-//     the installed cost model (the xehpc roofline arrives through
-//     trace::set_gemm_time_model — the same hook that annotates spans);
+//  3. ranks the survivors by the xehpc roofline's modeled device time for
+//     the request shape (xehpc::model_gemm with the default spec and
+//     calibration); ties keep the earlier mode in the eligible order.
+//     Host wall time never ranks modes — on the host the emulated modes
+//     run in the reverse order of the device — so a decision is a pure
+//     function of key and kernel tier, identical in every run;
 //  4. records the winner in a thread-safe in-memory cache AND merges it
 //     into the shared on-disk wisdom store named by DCMESH_TUNE_CACHE, so
 //     the next process resolves the key with zero calibration GEMMs.
+//
+// With the default 1024-ULP budget every CGEMM site the LFD engine tags
+// resolves to COMPLEX_3M: the roofline prices it below STANDARD and the
+// BF16 splits at those shapes.
+//
+// The one host-timed decision is the cache blocking (MC/NC) of big real
+// FP32 keys: blocking only partitions the output sweep and cannot change
+// a result bit, so host time is the right judge for it.
 //
 // The store is safe under N concurrent worker processes (the campaign
 // farm): a cache miss takes the store's advisory flock, re-reads the
@@ -70,18 +81,13 @@ inline constexpr std::string_view kUlpBudgetEnvVar =
 /// paper's Table IV accuracy ladder.
 inline constexpr double kDefaultUlpBudget = 1024.0;
 
-/// Below this nominal flop count (2mnk, x4 complex) one call is too short
-/// to time reliably on the host; ranking falls back to the cost model.
-inline constexpr double kMinTimedFlops = 65536.0;
-
 /// The call-site tag calibration GEMMs run under.
 inline constexpr std::string_view kCalibrationSite = "tune/calibrate";
 
 /// One mode's calibration measurements for one key.
 struct mode_measurement {
-  std::string mode_token;
+  blas::compute_mode mode = blas::compute_mode::standard;
   double err_ulp = 0.0;        ///< Measured componentwise error.
-  double gflops = 0.0;         ///< Measured throughput (0 = not timed).
   bool within_budget = false;  ///< err_ulp <= the key's budget.
 };
 
@@ -96,16 +102,16 @@ struct calibration_record {
 struct tuner_stats {
   std::uint64_t resolutions = 0;     ///< resolve() calls.
   std::uint64_t cache_hits = 0;      ///< Served from memory (incl. file).
-  std::uint64_t calibrations = 0;    ///< Keys resolved by timing kernels.
-  std::uint64_t model_decisions = 0; ///< Keys resolved by the cost model.
+  std::uint64_t calibrations = 0;    ///< Cold keys (error-measured and
+                                     ///< ranked by the roofline).
   std::uint64_t refreshes = 0;       ///< Store reloads after a sibling
                                      ///< process published a generation.
   std::uint64_t shared_hits = 0;     ///< Misses resolved under the store
                                      ///< lock by a sibling's fresh entry
                                      ///< (counted in cache_hits too).
   std::uint64_t blocking_probes = 0; ///< Keys whose MC/NC blocking was
-                                     ///< measured (cold, timed keys only;
-                                     ///< warm stores must stay at 0).
+                                     ///< measured (cold, big real FP32
+                                     ///< keys only; warm stores stay at 0).
 };
 
 /// An online autotuner with an in-memory decision cache fronting an

@@ -4,10 +4,11 @@
 // A wisdom file (named by DCMESH_TUNE_CACHE) records every mode decision
 // the autotuner has made, one JSON object per line, preceded by a header
 // line naming the file-format version and the kernel generation the
-// timings were taken on.  A second run loads the file and resolves every
+// decisions were made on.  A second run loads the file and resolves every
 // known (routine, site, shape-class, budget) key with zero recalibration;
-// a file written by an older kernel generation — whose timings and error
-// profile no longer apply — is rejected whole, cleanly, and rebuilt.
+// a file written by an older kernel generation — whose error profile and
+// decision procedure no longer apply — is rejected whole, cleanly, and
+// rebuilt.
 //
 // Concurrency (the campaign-farm contract): the file is a SHARED store.
 // All writes go through merge_wisdom() — a read-modify-merge critical
@@ -19,7 +20,7 @@
 // existing key only when the incoming entry carries an equal-or-newer
 // generation (i.e. its writer had already observed the published entry
 // and deliberately overrides it — last writer in generation time wins).
-// A freshly calibrated decision carries generation 0 ("never saw the
+// A fresh cold-key decision carries generation 0 ("never saw the
 // file") and therefore only ever FILLS ABSENT keys: once a key is
 // published, every sharer converges on that decision.  Individual
 // malformed lines (torn writes, hand edits) are skipped and counted,
@@ -37,20 +38,15 @@ class file_lock;
 
 namespace dcmesh::tune {
 
-/// Bump when the wisdom line layout changes incompatibly.  v2 added the
-/// optional per-entry cache-blocking fields (block_m/block_n/block_isa);
-/// v1 files parse fine (the fields read as "no tuned blocking"), so the
-/// header check accepts both and a v1 store is upgraded in place on the
-/// next merge rather than rebuilt.
-inline constexpr int kWisdomFormatVersion = 2;
-
-/// Oldest format version load_wisdom still accepts.
-inline constexpr int kWisdomFormatVersionMin = 1;
+/// Bump when the wisdom line layout changes incompatibly.  v3 dropped the
+/// per-entry host-throughput, provenance and ABFT-overhead fields.
+inline constexpr int kWisdomFormatVersion = 3;
 
 /// Identity of the kernel generation decisions are valid for.  Bump when
 /// the blocked kernels (or the calibration procedure) change enough that
-/// stored timings/errors are no longer comparable.
-inline constexpr std::string_view kKernelVersion = "minimkl-blocked-v2";
+/// stored decisions are no longer comparable.  v3: modes are ranked by the
+/// xehpc roofline alone, never by host time.
+inline constexpr std::string_view kKernelVersion = "minimkl-blocked-v3";
 
 /// Shape class: each GEMM dimension bucketed to its power-of-two bracket
 /// (bit width of the value), so near-identical shapes share one decision
@@ -82,9 +78,6 @@ struct wisdom_entry {
   double ulp_budget = 0.0;  ///< Error budget the decision was made under.
   std::string mode_token;   ///< Chosen mode (MKL_BLAS_COMPUTE_MODE token).
   double err_ulp = 0.0;     ///< Measured componentwise error, storage ULPs.
-  double gflops = 0.0;      ///< Measured throughput of the chosen mode
-                            ///< (0 = decision was model-ranked, not timed).
-  std::string provenance;   ///< "calibrated" or "modeled".
   /// Tuned cache blocking (MC/NC) for this shape class, measured by the
   /// autotuner's blocking probe; 0 = never probed (per-ISA defaults
   /// apply).  Blocking only partitions the output sweep, so serving a
@@ -97,13 +90,6 @@ struct wisdom_entry {
   std::int64_t block_m = 0;
   std::int64_t block_n = 0;
   std::string block_isa;
-  /// Measured ABFT (abft=correct) time overhead for this shape class as a
-  /// fraction of the plain call (0.15 = +15%).  0 = never measured.
-  /// FILL-ONLY under merge_wisdom, exactly like the blocking fields: the
-  /// checksum augmentation never changes the interior result, so an
-  /// overhead measurement is pure information and must survive mode-only
-  /// rewrites.
-  double abft_overhead = 0.0;
   /// Store generation this entry was written at.  0 = never published
   /// (a fresh in-memory decision); merge_wisdom stamps the file value.
   std::uint64_t generation = 0;
@@ -171,7 +157,7 @@ struct merge_result {
 /// one and nonzero; generation-0 entries fill absent keys only), bump
 /// the store generation, and atomically rewrite.  A stale or corrupt
 /// file is treated as empty and rebuilt.  When the caller already holds
-/// the lock (e.g. it calibrated under it), pass it as `held` to avoid
+/// the lock (e.g. it decided a cold key under it), pass it as `held` to avoid
 /// self-deadlock on a second acquisition.  Never throws.
 merge_result merge_wisdom(const std::string& path,
                           const std::vector<wisdom_entry>& incoming,

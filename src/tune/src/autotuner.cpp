@@ -13,7 +13,7 @@
 #include "dcmesh/common/knobs.hpp"
 #include "dcmesh/common/file_lock.hpp"
 #include "dcmesh/common/rng.hpp"
-#include "dcmesh/trace/tracer.hpp"
+#include "dcmesh/xehpc/roofline.hpp"
 
 // Engine-private headers (tune's CMakeLists adds src/blas/src): the
 // blocking probe times candidate MC/NC blockings against the active
@@ -33,7 +33,8 @@ using blas::compute_mode;
 constexpr blas_int kMaxCalibMN = 96;
 constexpr blas_int kMaxCalibK = 768;
 
-/// Target wall time per timed mode; repetitions are scaled to reach it.
+/// Target wall time per timed blocking candidate; repetitions are scaled
+/// to reach it.
 constexpr double kTimingTargetSeconds = 1e-3;
 constexpr int kMaxTimingReps = 16;
 
@@ -136,15 +137,15 @@ double componentwise_error_ulp(
   return worst;
 }
 
-/// Run every eligible mode once (or repeatedly, when `timed`) on
-/// deterministic sample operands and measure error + throughput.
-/// The GEMMs dispatch through the public descriptor path under the
-/// kCalibrationSite tag with an explicit mode override — visible to
-/// verbose/metrics, invisible to the policy engine (no recursion).
+/// Run every eligible mode once on deterministic sample operands and
+/// measure its error against the FP64 reference.  The GEMMs dispatch
+/// through the public descriptor path under the kCalibrationSite tag with
+/// an explicit mode override — visible to verbose/metrics, invisible to
+/// the policy engine (no recursion).
 template <typename T>
 std::vector<mode_measurement> calibrate_key(
     const std::vector<compute_mode>& modes, blas_int m, blas_int n,
-    blas_int k, bool timed, double ulp_budget, std::uint64_t seed) {
+    blas_int k, double ulp_budget, std::uint64_t seed) {
   const blas_int cm = std::clamp<blas_int>(m, 1, kMaxCalibMN);
   const blas_int cn = std::clamp<blas_int>(n, 1, kMaxCalibMN);
   const blas_int ck = std::clamp<blas_int>(k, 1, kMaxCalibK);
@@ -161,8 +162,6 @@ std::vector<mode_measurement> calibrate_key(
       sizeof(typename scalar_traits<T>::ref_type) == sizeof(T)
           ? 0x1.0p-52   // FP64 storage (ZGEMM)
           : 0x1.0p-23;  // FP32 storage (SGEMM/CGEMM)
-  const double flops = (scalar_traits<T>::is_complex ? 8.0 : 2.0) *
-                       double(cm) * double(cn) * double(ck);
 
   std::vector<mode_measurement> out;
   out.reserve(modes.size());
@@ -179,30 +178,16 @@ std::vector<mode_measurement> calibrate_key(
     call.ldc = cm;
     call.call_site = kCalibrationSite;
     call.mode = mode;
-    // Calibration times the bare kernel: a process-wide DCMESH_ABFT
-    // default must not leak checksum overhead into the mode ranking.
+    // Calibration measures the bare kernel: a process-wide DCMESH_ABFT
+    // default must not add checksum GEMMs to the calibration run.
     call.abft = resil::abft_mode::off;
+    blas::run(call);
 
     mode_measurement meas;
-    meas.mode_token = std::string(blas::info(mode).env_token);
-
-    // Probe run: produces the result we measure error on, and (when
-    // timing) warms caches + sizes the repetition count.
-    const double probe_start = now_seconds();
-    blas::run(call);
-    const double probe = std::max(now_seconds() - probe_start, 1e-9);
+    meas.mode = mode;
     meas.err_ulp = componentwise_error_ulp(c, ref, storage_eps);
     meas.within_budget = meas.err_ulp <= ulp_budget;
-
-    if (timed) {
-      const int reps = std::clamp(
-          static_cast<int>(kTimingTargetSeconds / probe), 1, kMaxTimingReps);
-      const double start = now_seconds();
-      for (int r = 0; r < reps; ++r) blas::run(call);
-      const double elapsed = std::max(now_seconds() - start, 1e-9);
-      meas.gflops = flops * reps / elapsed / 1e9;
-    }
-    out.push_back(std::move(meas));
+    out.push_back(meas);
   }
   return out;
 }
@@ -302,55 +287,6 @@ void probe_blocking(wisdom_entry& entry,
   entry.block_isa = std::string(bd::kernel_isa_name(isa));
 }
 
-/// Measure the ABFT checksum overhead for this shape class: time the
-/// decided mode plain vs under abft=correct (per-call overrides, so the
-/// probes are independent of the process default) and record the
-/// fractional slowdown in the entry.  Only called for requests that will
-/// actually run under ABFT — the probe costs two timed batches.
-void probe_abft_overhead(wisdom_entry& entry,
-                         const blas::auto_tune_request& req,
-                         compute_mode mode, std::uint64_t seed) {
-  const blas_int pm = std::clamp<blas_int>(req.m, 1, kMaxProbeM);
-  const blas_int pn = std::clamp<blas_int>(req.n, 1, kMaxProbeN);
-  const blas_int pk = std::clamp<blas_int>(req.k, 1, kMaxProbeK);
-
-  xoshiro256 rng(seed ^ 0xd1b54a32d192ed03ull);
-  std::vector<float> a(static_cast<std::size_t>(pm) * pk);
-  std::vector<float> b(static_cast<std::size_t>(pk) * pn);
-  std::vector<float> c(static_cast<std::size_t>(pm) * pn);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-
-  const auto time_at = [&](resil::abft_mode abft) {
-    blas::gemm_call<float> call;
-    call.m = pm;
-    call.n = pn;
-    call.k = pk;
-    call.a = a.data();
-    call.lda = pm;
-    call.b = b.data();
-    call.ldb = pk;
-    call.c = c.data();
-    call.ldc = pm;
-    call.call_site = kCalibrationSite;
-    call.mode = mode;
-    call.abft = abft;
-
-    const double probe_start = now_seconds();
-    blas::run(call);
-    const double probe = std::max(now_seconds() - probe_start, 1e-9);
-    const int reps = std::clamp(
-        static_cast<int>(kTimingTargetSeconds / probe), 1, kMaxTimingReps);
-    const double start = now_seconds();
-    for (int r = 0; r < reps; ++r) blas::run(call);
-    return std::max(now_seconds() - start, 1e-9) / reps;
-  };
-
-  const double plain = time_at(resil::abft_mode::off);
-  const double checked = time_at(resil::abft_mode::correct);
-  entry.abft_overhead = std::max(0.0, checked / plain - 1.0);
-}
-
 blas::auto_tune_choice make_choice(const wisdom_entry& entry,
                                    blas::auto_provenance provenance) {
   const auto mode = blas::parse_compute_mode(entry.mode_token);
@@ -365,7 +301,6 @@ blas::auto_tune_choice make_choice(const wisdom_entry& entry,
     choice.block_m = static_cast<blas_int>(entry.block_m);
     choice.block_n = static_cast<blas_int>(entry.block_n);
   }
-  choice.abft_overhead = entry.abft_overhead;
   return choice;
 }
 
@@ -485,95 +420,69 @@ blas::auto_tune_choice autotuner::decide(state& s,
     }
   }
 
-  // Calibrate: measure error for every eligible mode, and throughput when
-  // the request shape is big enough to time reliably.
-  const double nominal_flops = (req.is_complex ? 8.0 : 2.0) *
-                               double(req.m) * double(req.n) * double(req.k);
-  const bool timed = nominal_flops >= kMinTimedFlops;
+  // Calibrate: measure the error of every eligible mode on seeded
+  // operands, so the same key always measures the same errors.
   const auto modes = eligible_modes(req.is_complex, req.is_fp64);
   const std::uint64_t seed = fnv1a(key);
 
   std::vector<mode_measurement> measurements;
   if (req.is_fp64) {
-    measurements = calibrate_key<std::complex<double>>(
-        modes, req.m, req.n, req.k, timed, budget, seed);
+    measurements = calibrate_key<std::complex<double>>(modes, req.m, req.n,
+                                                       req.k, budget, seed);
   } else if (req.is_complex) {
-    measurements = calibrate_key<std::complex<float>>(
-        modes, req.m, req.n, req.k, timed, budget, seed);
+    measurements = calibrate_key<std::complex<float>>(modes, req.m, req.n,
+                                                      req.k, budget, seed);
   } else {
-    measurements = calibrate_key<float>(modes, req.m, req.n, req.k, timed,
-                                        budget, seed);
+    measurements =
+        calibrate_key<float>(modes, req.m, req.n, req.k, budget, seed);
   }
 
-  // Rank the modes that stay inside the budget; standard is the safety
-  // net when nothing does (a sub-ULP budget, say).
-  const mode_measurement* best = nullptr;
+  // Rank the modes that stay inside the budget by the xehpc roofline's
+  // device time for the request shape (the default spec core::driver also
+  // annotates spans with).  Host wall time never ranks modes: emulated
+  // modes on the host invert the device ordering.  Ties keep the earlier
+  // mode in eligible_modes order; standard is the safety net when nothing
+  // fits the budget (a sub-ULP budget, say).
+  xehpc::gemm_shape shape;
+  shape.m = req.m;
+  shape.n = req.n;
+  shape.k = req.k;
+  shape.is_complex = req.is_complex;
+  shape.precision =
+      req.is_fp64 ? xehpc::gemm_precision::fp64 : xehpc::gemm_precision::fp32;
+  const mode_measurement* best = &measurements.front();  // standard
+  double best_seconds = -1.0;
   for (const auto& meas : measurements) {
     if (!meas.within_budget) continue;
-    if (best == nullptr) {
+    const double seconds =
+        xehpc::model_gemm({}, {}, shape, meas.mode).total_s();
+    if (best_seconds < 0.0 || seconds < best_seconds) {
       best = &meas;
-      continue;
-    }
-    if (timed) {
-      if (meas.gflops > best->gflops) best = &meas;
-      continue;
-    }
-    // Too small to time: rank by the installed cost model (the xehpc
-    // roofline when present), else by Table II peak theoretical speedup.
-    const auto predict = [&](const mode_measurement& mm) {
-      return trace::predicted_gemm_seconds({req.m, req.n, req.k,
-                                            req.is_complex, req.is_fp64,
-                                            mm.mode_token});
-    };
-    const double t_new = predict(meas);
-    const double t_best = predict(*best);
-    if (t_new >= 0.0 && t_best >= 0.0) {
-      if (t_new < t_best) best = &meas;
-    } else {
-      const auto speedup = [](const mode_measurement& mm) {
-        const auto mode = blas::parse_compute_mode(mm.mode_token);
-        return mode ? blas::info(*mode).peak_theoretical_speedup : 1.0;
-      };
-      if (speedup(meas) > speedup(*best)) best = &meas;
+      best_seconds = seconds;
     }
   }
-  if (best == nullptr) best = &measurements.front();  // standard
 
   wisdom_entry entry;
   entry.routine = std::string(req.routine);
   entry.site = std::string(req.call_site);
   entry.cls = cls;
   entry.ulp_budget = budget;
-  entry.mode_token = best->mode_token;
+  entry.mode_token = std::string(blas::info(best->mode).env_token);
   entry.err_ulp = best->err_ulp;
-  entry.gflops = best->gflops;
-  entry.provenance = timed ? "calibrated" : "modeled";
-  if (timed) {
-    ++s.stats.calibrations;
-  } else {
-    ++s.stats.model_decisions;
-  }
+  ++s.stats.calibrations;
 
   // Cold-path blocking probe: measure per-shape MC/NC for real FP32 GEMMs
   // big enough for blocking to matter, still inside the store lock so the
-  // whole fleet probes each key at most once.  Cached entries carry their
-  // blocking, so warm stores never re-enter this (blocking_probes == 0).
-  if (timed && !req.is_complex && !req.is_fp64 &&
+  // whole fleet probes each key at most once.  Blocking never changes
+  // results, so host time is the right judge here.  Cached entries carry
+  // their blocking, so warm stores never re-enter this (blocking_probes
+  // == 0).
+  const double nominal_flops = 2.0 * double(req.m) * double(req.n) *
+                               double(req.k);
+  if (!req.is_complex && !req.is_fp64 &&
       nominal_flops >= kMinBlockingProbeFlops) {
-    const auto best_mode = blas::parse_compute_mode(best->mode_token);
-    probe_blocking(entry, req, best_mode.value_or(compute_mode::standard),
-                   seed);
+    probe_blocking(entry, req, best->mode, seed);
     ++s.stats.blocking_probes;
-  }
-
-  // The requesting site runs under ABFT: measure (and wisdom-record) the
-  // checksum overhead for this shape class so the recorded cost of the
-  // decision reflects what the site will actually pay.  Cached entries
-  // carry the overhead, so a warm store never re-probes.
-  if (timed && !req.is_complex && !req.is_fp64 && req.abft) {
-    const auto best_mode = blas::parse_compute_mode(best->mode_token);
-    probe_abft_overhead(entry, req,
-                        best_mode.value_or(compute_mode::standard), seed);
   }
 
   s.decisions.emplace(key, entry);
@@ -596,8 +505,7 @@ blas::auto_tune_choice autotuner::decide(state& s,
     }
   }
 
-  return make_choice(entry, timed ? blas::auto_provenance::calibrated
-                                  : blas::auto_provenance::modeled);
+  return make_choice(entry, blas::auto_provenance::modeled);
 }
 
 blas::auto_tune_choice autotuner::resolve(

@@ -76,14 +76,9 @@ std::string wisdom_entry::to_json() const {
                 ulp_budget);
   out += buffer;
   out += mode_token;
-  std::snprintf(buffer, sizeof(buffer),
-                "\",\"err_ulp\":%.9g,\"gflops\":%.9g,\"provenance\":\"",
-                err_ulp, gflops);
+  std::snprintf(buffer, sizeof(buffer), "\",\"err_ulp\":%.9g", err_ulp);
   out += buffer;
-  out += provenance;
-  out += '"';
-  // Optional fields (absent = "not set"), mirroring the "gen" pattern so
-  // v1-era lines and blocking-free entries stay byte-identical.
+  // Optional fields (absent = "not set"), mirroring the "gen" pattern.
   if (block_m > 0) {
     std::snprintf(buffer, sizeof(buffer),
                   ",\"block_m\":%lld,\"block_n\":%lld,\"block_isa\":\"",
@@ -92,11 +87,6 @@ std::string wisdom_entry::to_json() const {
     out += buffer;
     trace::append_json_escaped(out, block_isa);
     out += '"';
-  }
-  if (abft_overhead > 0.0) {
-    std::snprintf(buffer, sizeof(buffer), ",\"abft_overhead\":%.9g",
-                  abft_overhead);
-    out += buffer;
   }
   if (generation > 0) {
     std::snprintf(buffer, sizeof(buffer), ",\"gen\":%llu",
@@ -118,10 +108,7 @@ std::string wisdom_header(std::uint64_t generation) {
 
 bool wisdom_header_ok(std::string_view line) {
   const auto version = json_number_field(line, "dcmesh_wisdom");
-  if (!version || *version < kWisdomFormatVersionMin ||
-      *version > kWisdomFormatVersion) {
-    return false;
-  }
+  if (!version || *version != kWisdomFormatVersion) return false;
   const auto kernel = json_string_field(line, "kernel");
   return kernel && *kernel == kKernelVersion;
 }
@@ -133,10 +120,7 @@ std::optional<wisdom_entry> parse_wisdom_line(std::string_view line) {
   const auto budget = json_number_field(line, "ulp_budget");
   const auto mode = json_string_field(line, "mode");
   const auto err = json_number_field(line, "err_ulp");
-  const auto gflops = json_number_field(line, "gflops");
-  const auto provenance = json_string_field(line, "provenance");
-  if (!routine || !site || !cls_text || !budget || !mode || !err ||
-      !gflops || !provenance) {
+  if (!routine || !site || !cls_text || !budget || !mode || !err) {
     return std::nullopt;
   }
   const auto cls = parse_shape_class(*cls_text);
@@ -148,10 +132,7 @@ std::optional<wisdom_entry> parse_wisdom_line(std::string_view line) {
   entry.ulp_budget = *budget;
   entry.mode_token = *mode;
   entry.err_ulp = *err;
-  entry.gflops = *gflops;
-  entry.provenance = *provenance;
-  // Optional blocking fields (format v2); absent — every v1 line — reads
-  // as "no tuned blocking".
+  // Optional blocking fields; absent reads as "no tuned blocking".
   const auto block_m = json_number_field(line, "block_m");
   const auto block_n = json_number_field(line, "block_n");
   if (block_m && block_n && *block_m > 0 && *block_n > 0) {
@@ -159,14 +140,8 @@ std::optional<wisdom_entry> parse_wisdom_line(std::string_view line) {
     entry.block_n = static_cast<std::int64_t>(*block_n);
     entry.block_isa = json_string_field(line, "block_isa").value_or("");
   }
-  // Optional ABFT overhead column; absent reads as "never measured".
-  if (const auto abft = json_number_field(line, "abft_overhead");
-      abft && *abft > 0.0) {
-    entry.abft_overhead = *abft;
-  }
-  // "gen" was added after format v1 shipped; its absence (a pre-merge
-  // file, or a hand-written line) reads as generation 0, which merges
-  // exactly like a fresh in-memory decision.
+  // An absent "gen" (a hand-written line) reads as generation 0, which
+  // merges exactly like a fresh in-memory decision.
   if (const auto gen = json_number_field(line, "gen"); gen && *gen > 0) {
     entry.generation = static_cast<std::uint64_t>(*gen);
   }
@@ -249,7 +224,7 @@ merge_result merge_wisdom(const std::string& path,
   merge_result result;
   if (path.empty()) return result;
   // Serialize the read-modify-write against sibling processes.  When the
-  // caller calibrated under its own lock it passes that lock in; taking
+  // caller decided a key under its own lock it passes that lock in; taking
   // a second one here would block forever (flock excludes per open file
   // description, even within one process).
   std::optional<file_lock> own;
@@ -287,15 +262,11 @@ merge_result merge_wisdom(const std::string& path,
       const std::int64_t kept_block_m = existing->block_m;
       const std::int64_t kept_block_n = existing->block_n;
       std::string kept_block_isa = std::move(existing->block_isa);
-      const double kept_abft_overhead = existing->abft_overhead;
       *existing = in_entry;
       if (existing->block_m == 0 && kept_block_m > 0) {
         existing->block_m = kept_block_m;
         existing->block_n = kept_block_n;
         existing->block_isa = std::move(kept_block_isa);
-      }
-      if (existing->abft_overhead == 0.0 && kept_abft_overhead > 0.0) {
-        existing->abft_overhead = kept_abft_overhead;
       }
       existing->generation = next_gen;
       ++result.added;
@@ -309,11 +280,6 @@ merge_result merge_wisdom(const std::string& path,
         existing->block_m = in_entry.block_m;
         existing->block_n = in_entry.block_n;
         existing->block_isa = in_entry.block_isa;
-        existing->generation = next_gen;
-        changed = true;
-      }
-      if (existing->abft_overhead == 0.0 && in_entry.abft_overhead > 0.0) {
-        existing->abft_overhead = in_entry.abft_overhead;
         existing->generation = next_gen;
         changed = true;
       }

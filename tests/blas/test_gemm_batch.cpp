@@ -159,7 +159,7 @@ TEST(GemmBatch, AutoPolicyResolvesOncePerBatch) {
     ++hook_calls;
     EXPECT_EQ(request.routine, "SGEMM");
     return auto_tune_choice{compute_mode::float_to_bf16x3,
-                            auto_provenance::calibrated, 1.0};
+                            auto_provenance::modeled, 1.0};
   });
   set_policy(parse_policy("batch/auto_site=AUTO"));
   trace::clear_gemm_metrics();

@@ -348,8 +348,8 @@ TEST(CampaignEndToEnd, EightRunsTwoWorkersCalibrateOnlyInTheScout) {
     EXPECT_EQ(calibrations[i], 0) << "run " << i << " recalibrated";
   }
   // The followers' tune= histograms carry cached provenance (shared
-  // hits), never calibrated.
-  EXPECT_EQ(count_occurrences(report, "\"calibrated\""), 1u);
+  // hits), never a cold (modeled) decision.
+  EXPECT_EQ(count_occurrences(report, "\"modeled\""), 1u);
   EXPECT_EQ(count_occurrences(report, "\"cached\""), 8u);
 
   // One wisdom store, one generation history, valid header.

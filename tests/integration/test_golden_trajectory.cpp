@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "dcmesh/blas/compute_mode.hpp"
@@ -18,6 +20,7 @@
 #include "dcmesh/core/driver.hpp"
 #include "dcmesh/core/presets.hpp"
 #include "dcmesh/sched/config.hpp"
+#include "dcmesh/tune/autotuner.hpp"
 
 namespace dcmesh::core {
 namespace {
@@ -135,6 +138,93 @@ TEST(GoldenTrajectory, PooledTrajectoryIsBitIdenticalToSerialInEveryMode) {
     sched::reset_for_testing();
   }
   blas::clear_compute_mode();
+}
+
+// AUTO golden: under a blanket `lfd/*=auto` policy the autotuner picks
+// each site's mode from the error calibration (seeded operands) and the
+// xehpc roofline alone, so the per-site table and the trajectory bits are
+// a pure function of the deck.  Three cold serial runs and one cold run on
+// the step pool must agree bit for bit, and the table is pinned: the
+// roofline prices COMPLEX_3M below STANDARD and the BF16 splits at every
+// LFD CGEMM shape inside the default 1024-ULP budget.
+TEST(GoldenTrajectory, AutoPolicyIsDeterministicAcrossRunsAndThreads) {
+  env_unset(blas::kPolicyEnvVar);
+  env_unset("MKL_BLAS_COMPUTE_MODE");
+  env_unset(sched::kSchedEnvVar);
+  env_unset(tune::kTuneCacheEnvVar);
+  env_unset(tune::kUlpBudgetEnvVar);
+  blas::clear_compute_mode();
+  blas::clear_policy();
+  sched::reset_for_testing();
+
+  struct auto_run {
+    std::vector<lfd::qd_record> records;
+    std::vector<tune::wisdom_entry> decisions;
+  };
+  const auto cold_run = [](sched::sched_mode mode, int workers) {
+    tune::default_tuner().clear();  // no store: every key is cold
+    sched::configure(mode, workers);
+    run_config config = preset(paper_system::tiny);
+    config.blas_policy = "lfd/*=auto";
+    driver sim(std::move(config));
+    sim.run();
+    auto_run out{sim.records(), tune::default_tuner().decisions()};
+    sched::reset_for_testing();
+    return out;
+  };
+  static_assert(sizeof(lfd::qd_record) == 8 * sizeof(double),
+                "qd_record is compared as raw bytes");
+  const auto same_bits = [](const lfd::qd_record& a, const lfd::qd_record& b) {
+    return std::memcmp(&a, &b, sizeof(lfd::qd_record)) == 0;
+  };
+
+  const auto want = cold_run(sched::sched_mode::serial, 0);
+  ASSERT_EQ(want.records.size(), 40u);
+  const auto check = [&](const auto_run& got, const char* label) {
+    ASSERT_EQ(got.records.size(), want.records.size()) << label;
+    for (std::size_t i = 0; i < got.records.size(); ++i) {
+      EXPECT_TRUE(same_bits(got.records[i], want.records[i]))
+          << label << " record " << i;
+    }
+    ASSERT_EQ(got.decisions.size(), want.decisions.size()) << label;
+    for (std::size_t i = 0; i < got.decisions.size(); ++i) {
+      EXPECT_EQ(got.decisions[i].to_json(), want.decisions[i].to_json())
+          << label;
+    }
+  };
+  check(cold_run(sched::sched_mode::serial, 0), "serial run 2");
+  check(cold_run(sched::sched_mode::serial, 0), "serial run 3");
+  check(cold_run(sched::sched_mode::pool, 3), "pool:3 run");
+
+  // decisions() is sorted by key: routine, site, shape class, budget.
+  struct site_mode {
+    const char* site;
+    const char* cls;
+    const char* mode;
+  };
+  constexpr site_mode kAutoGolden[] = {
+      {"lfd/calc_energy/band_rot", "m4n4k4", "COMPLEX_3M"},
+      {"lfd/calc_energy/kinetic", "m4n4k10", "COMPLEX_3M"},
+      {"lfd/calc_energy/nonlocal", "m4n4k4", "COMPLEX_3M"},
+      {"lfd/nlp_prop/overlap", "m4n4k10", "COMPLEX_3M"},
+      {"lfd/nlp_prop/project", "m10n4k4", "COMPLEX_3M"},
+      {"lfd/nlp_prop/subspace", "m4n4k4", "COMPLEX_3M"},
+      {"lfd/remap_occ/moment1", "m2n2k3", "COMPLEX_3M"},
+      {"lfd/remap_occ/moment2", "m3n2k2", "COMPLEX_3M"},
+      {"lfd/remap_occ/overlap", "m2n3k10", "COMPLEX_3M"},
+  };
+  ASSERT_EQ(want.decisions.size(), std::size(kAutoGolden));
+  for (std::size_t i = 0; i < want.decisions.size(); ++i) {
+    const tune::wisdom_entry& got = want.decisions[i];
+    EXPECT_EQ(got.routine, "CGEMM") << got.key();
+    EXPECT_EQ(got.site, kAutoGolden[i].site) << got.key();
+    EXPECT_EQ(got.cls.to_string(), kAutoGolden[i].cls) << got.key();
+    EXPECT_EQ(got.mode_token, kAutoGolden[i].mode) << got.key();
+    EXPECT_LE(got.err_ulp, got.ulp_budget) << got.key();
+  }
+
+  tune::default_tuner().clear();
+  blas::clear_policy();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the accuracy-aware autotuning subsystem: the wisdom file
 // format (round-trip, stale/corrupt rejection, first-writer-wins dedup),
-// the autotuner's calibrate/cache/model decision paths, multi-process
+// the autotuner's calibrate-then-model and cache decision paths (and that
+// a decision depends on neither host time nor the trace hook), multi-process
 // determinism through a shared wisdom file, env-var robustness, and the
 // end-to-end `auto` policy mode — including the headline guarantee that a
 // warm wisdom cache performs ZERO calibration GEMMs (asserted via the
@@ -21,7 +22,9 @@
 #include "dcmesh/core/driver.hpp"
 #include "dcmesh/core/presets.hpp"
 #include "dcmesh/trace/metrics.hpp"
+#include "dcmesh/trace/tracer.hpp"
 #include "dcmesh/tune/wisdom.hpp"
+#include "dcmesh/xehpc/roofline.hpp"
 
 namespace dcmesh::tune {
 namespace {
@@ -52,6 +55,27 @@ class AutotuneTest : public ::testing::Test {
     return {site, "SGEMM", m, n, k, /*is_complex=*/false,
             /*is_fp64=*/false, /*ulp_budget=*/0.0};
   }
+
+  static blas::auto_tune_request cgemm_request(std::string_view site,
+                                               blas::blas_int m,
+                                               blas::blas_int n,
+                                               blas::blas_int k) {
+    return {site, "CGEMM", m, n, k, /*is_complex=*/true,
+            /*is_fp64=*/false, /*ulp_budget=*/0.0};
+  }
+
+  /// The roofline time the tuner ranks `mode` by for `request`.
+  static double model_seconds(const blas::auto_tune_request& request,
+                              blas::compute_mode mode) {
+    xehpc::gemm_shape shape;
+    shape.m = request.m;
+    shape.n = request.n;
+    shape.k = request.k;
+    shape.is_complex = request.is_complex;
+    shape.precision = request.is_fp64 ? xehpc::gemm_precision::fp64
+                                      : xehpc::gemm_precision::fp32;
+    return xehpc::model_gemm({}, {}, shape, mode).total_s();
+  }
 };
 
 // ------------------------------------------------------------- wisdom ---
@@ -74,8 +98,6 @@ TEST_F(AutotuneTest, WisdomLineRoundTrips) {
   entry.ulp_budget = 1024.0;
   entry.mode_token = "COMPLEX_3M";
   entry.err_ulp = 16.6875;
-  entry.gflops = 20.95;
-  entry.provenance = "calibrated";
 
   const auto parsed = parse_wisdom_line(entry.to_json());
   ASSERT_TRUE(parsed.has_value());
@@ -85,8 +107,6 @@ TEST_F(AutotuneTest, WisdomLineRoundTrips) {
   EXPECT_DOUBLE_EQ(parsed->ulp_budget, entry.ulp_budget);
   EXPECT_EQ(parsed->mode_token, entry.mode_token);
   EXPECT_DOUBLE_EQ(parsed->err_ulp, entry.err_ulp);
-  EXPECT_DOUBLE_EQ(parsed->gflops, entry.gflops);
-  EXPECT_EQ(parsed->provenance, entry.provenance);
   EXPECT_EQ(parsed->key(), entry.key());
 }
 
@@ -97,7 +117,6 @@ TEST_F(AutotuneTest, WisdomBlockingFieldsRoundTrip) {
   entry.cls = classify_shape(128, 128, 512);
   entry.ulp_budget = 1024.0;
   entry.mode_token = "FLOAT_TO_BF16X2";
-  entry.provenance = "calibrated";
   entry.block_m = 224;
   entry.block_n = 1024;
   entry.block_isa = "avx512";
@@ -110,8 +129,8 @@ TEST_F(AutotuneTest, WisdomBlockingFieldsRoundTrip) {
   EXPECT_EQ(parsed->block_n, 1024);
   EXPECT_EQ(parsed->block_isa, "avx512");
 
-  // An unprobed entry emits NO blocking fields (v1-shaped line) and reads
-  // back as unprobed.
+  // An unprobed entry emits NO blocking fields and reads back as
+  // unprobed.
   entry.block_m = 0;
   entry.block_n = 0;
   entry.block_isa.clear();
@@ -129,6 +148,9 @@ TEST_F(AutotuneTest, HeaderValidatesFormatAndKernelVersion) {
       "{\"dcmesh_wisdom\":999,\"kernel\":\"minimkl-blocked-v2\"}"));
   EXPECT_FALSE(wisdom_header_ok(
       "{\"dcmesh_wisdom\":1,\"kernel\":\"some-older-kernel\"}"));
+  // A store written when modes were ranked by host time is rebuilt.
+  EXPECT_FALSE(wisdom_header_ok(
+      "{\"dcmesh_wisdom\":2,\"kernel\":\"minimkl-blocked-v2\"}"));
   EXPECT_FALSE(wisdom_header_ok("not json at all"));
   EXPECT_FALSE(parse_wisdom_line("{\"routine\":\"SGEMM\"}").has_value());
 }
@@ -141,7 +163,6 @@ TEST_F(AutotuneTest, LoadSkipsMalformedLinesAndDedupsFirstWins) {
   entry.cls = classify_shape(64, 64, 64);
   entry.ulp_budget = 1024.0;
   entry.mode_token = "STANDARD";
-  entry.provenance = "calibrated";
   wisdom_entry dup = entry;  // same key, different mode: must lose
   dup.mode_token = "FLOAT_TO_BF16";
   {
@@ -178,16 +199,14 @@ TEST_F(AutotuneTest, StaleKernelVersionRejectsWholeFile) {
 
 // ---------------------------------------------------------- autotuner ---
 
-TEST_F(AutotuneTest, TimedShapeCalibratesWithinBudget) {
+TEST_F(AutotuneTest, ColdShapeCalibratesWithinBudget) {
   autotuner tuner{std::string{}};  // in-memory only
   const auto choice = tuner.resolve(sgemm_request("t/a", 128, 128, 128));
-  EXPECT_EQ(choice.provenance, blas::auto_provenance::calibrated);
+  EXPECT_EQ(choice.provenance, blas::auto_provenance::modeled);
   EXPECT_LE(choice.err_ulp, kDefaultUlpBudget);
 
   const auto decisions = tuner.decisions();
   ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].provenance, "calibrated");
-  EXPECT_GT(decisions[0].gflops, 0.0);
   EXPECT_EQ(tuner.stats().calibrations, 1u);
 
   // The calibration GEMMs ran through the public dispatcher and are
@@ -207,35 +226,76 @@ TEST_F(AutotuneTest, SecondResolveHitsMemoryWithZeroCalibrationGemms) {
   EXPECT_EQ(tuner.stats().calibrations, 1u);
 }
 
-TEST_F(AutotuneTest, ChosenModeIsFastestWithinBudget) {
+TEST_F(AutotuneTest, ChosenModeIsCheapestByTheModelWithinBudget) {
   autotuner tuner{std::string{}};
-  (void)tuner.resolve(sgemm_request("t/fast", 96, 96, 256));
+  const blas::auto_tune_request requests[] = {
+      sgemm_request("t/cheap", 96, 96, 256),
+      cgemm_request("t/cheap", 32, 32, 4096),
+  };
+  for (const auto& request : requests) (void)tuner.resolve(request);
   const auto log = tuner.calibration_log();
-  ASSERT_EQ(log.size(), 1u);
-  ASSERT_EQ(log[0].decision.provenance, "calibrated");
-  for (const auto& meas : log[0].measurements) {
-    if (!meas.within_budget) continue;
-    // The decision is the max-throughput mode among those within budget —
-    // in particular at least as fast as always-BF16x3 (which, carrying
-    // enough components to emulate FP32, is always within budget).
-    EXPECT_GE(log[0].decision.gflops, meas.gflops)
-        << "beaten by " << meas.mode_token;
-    if (meas.mode_token == "FLOAT_TO_BF16X3") {
-      EXPECT_LE(meas.err_ulp, kDefaultUlpBudget);
+  ASSERT_EQ(log.size(), 2u);
+  for (std::size_t r = 0; r < log.size(); ++r) {
+    const auto chosen = blas::parse_compute_mode(log[r].decision.mode_token);
+    ASSERT_TRUE(chosen.has_value());
+    const double chosen_s = model_seconds(requests[r], *chosen);
+    bool seen_chosen = false;
+    for (const auto& meas : log[r].measurements) {
+      // BF16x3 carries enough components to emulate FP32.
+      if (meas.mode == blas::compute_mode::float_to_bf16x3) {
+        EXPECT_TRUE(meas.within_budget) << meas.err_ulp;
+      }
+      if (meas.mode == *chosen) {
+        EXPECT_TRUE(meas.within_budget);
+        seen_chosen = true;
+        continue;
+      }
+      if (!meas.within_budget) continue;
+      // No admissible mode is cheaper on the modeled device, and a mode
+      // that ties only wins when it comes first in the eligible order.
+      const double other_s = model_seconds(requests[r], meas.mode);
+      if (seen_chosen) {
+        EXPECT_LE(chosen_s, other_s) << "beaten by " << info(meas.mode).name;
+      } else {
+        EXPECT_LT(chosen_s, other_s) << "beaten by " << info(meas.mode).name;
+      }
     }
+    EXPECT_TRUE(seen_chosen);
   }
+  // The Table VII CGEMM shape: the roofline prices COMPLEX_3M lowest.
+  EXPECT_EQ(log[1].decision.mode_token, "COMPLEX_3M");
 }
 
-TEST_F(AutotuneTest, TinyShapeFallsBackToModelRanking) {
+TEST_F(AutotuneTest, TinyShapeRanksByTheModelLikeAnyOther) {
   autotuner tuner{std::string{}};
   const auto choice = tuner.resolve(sgemm_request("t/tiny", 8, 8, 8));
   EXPECT_EQ(choice.provenance, blas::auto_provenance::modeled);
   EXPECT_LE(choice.err_ulp, kDefaultUlpBudget);
-  EXPECT_EQ(tuner.stats().model_decisions, 1u);
-  const auto decisions = tuner.decisions();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].provenance, "modeled");
-  EXPECT_EQ(decisions[0].gflops, 0.0);  // nothing was timed
+  EXPECT_EQ(tuner.stats().calibrations, 1u);
+  EXPECT_EQ(tuner.decisions().size(), 1u);
+}
+
+// The decision is the tuner's own roofline ranking: whatever cost model
+// the trace layer has installed (the roofline under core::driver, none
+// under the shim or a bare library user, anything in a test) must not
+// change it.
+TEST_F(AutotuneTest, DecisionIgnoresTheTraceTimeModel) {
+  const auto request = cgemm_request("t/hook", 8, 8, 8);
+  const auto resolve_once = [&] {
+    autotuner tuner{std::string{}};
+    return tuner.resolve(request).mode;
+  };
+  trace::set_gemm_time_model({});
+  const blas::compute_mode bare = resolve_once();
+  xehpc::install_trace_gemm_model();
+  EXPECT_EQ(resolve_once(), bare);
+  // A model that prices STANDARD cheapest of all.
+  trace::set_gemm_time_model([](const trace::gemm_model_query& q) {
+    return q.mode_token == "STANDARD" ? 1e-9 : 1.0;
+  });
+  EXPECT_EQ(resolve_once(), bare);
+  trace::set_gemm_time_model({});
+  EXPECT_EQ(resolve_once(), bare);
 }
 
 TEST_F(AutotuneTest, PlainFp64DefaultsToStandardWithoutCalibration) {
@@ -271,7 +331,7 @@ TEST_F(AutotuneTest, BlockingProbedColdOnceThenServedWarm) {
   // 2*128*128*512 = 16.8 Mflop: big enough to time AND to probe MC/NC.
   autotuner cold{path};
   const auto first = cold.resolve(sgemm_request("t/blk", 128, 128, 512));
-  EXPECT_EQ(first.provenance, blas::auto_provenance::calibrated);
+  EXPECT_EQ(first.provenance, blas::auto_provenance::modeled);
   EXPECT_EQ(cold.stats().blocking_probes, 1u);
   // The probed winner reaches both the decision cache and the caller.
   const auto decisions = cold.decisions();
@@ -297,10 +357,10 @@ TEST_F(AutotuneTest, BlockingProbedColdOnceThenServedWarm) {
 
 TEST_F(AutotuneTest, SmallShapesNeverProbeBlocking) {
   autotuner tuner{std::string{}};
-  // Timed (>= kMinTimedFlops) but below the blocking-probe floor: the
-  // mode is calibrated, the blocking stays at the per-ISA default.
+  // Below the blocking-probe floor: the mode is decided, the blocking
+  // stays at the per-ISA default.
   (void)tuner.resolve(sgemm_request("t/sm", 64, 64, 64));
-  // Model-ranked tiny shape: no probe either.
+  // A tiny shape: no probe either.
   (void)tuner.resolve(sgemm_request("t/tiny", 8, 8, 8));
   EXPECT_EQ(tuner.stats().blocking_probes, 0u);
   for (const auto& d : tuner.decisions()) {
@@ -317,7 +377,7 @@ TEST_F(AutotuneTest, WisdomRoundTripsAcrossInstancesWithZeroRecalibration) {
 
   autotuner cold{path};
   const auto first = cold.resolve(sgemm_request("t/rt", 128, 128, 128));
-  EXPECT_EQ(first.provenance, blas::auto_provenance::calibrated);
+  EXPECT_EQ(first.provenance, blas::auto_provenance::modeled);
   ASSERT_TRUE(cold.flush());
 
   // A fresh instance (fresh process, in effect) resolves the same key
@@ -355,7 +415,7 @@ TEST_F(AutotuneTest, CorruptWisdomFileIsRejectedAndRebuilt) {
   autotuner tuner{path};
   // The corrupt file must not crash, throw, or poison the decision.
   const auto choice = tuner.resolve(sgemm_request("t/x", 128, 128, 128));
-  EXPECT_EQ(choice.provenance, blas::auto_provenance::calibrated);
+  EXPECT_EQ(choice.provenance, blas::auto_provenance::modeled);
 
   // And the file has been rebuilt with a valid header + this decision.
   const auto reloaded = load_wisdom(path);
@@ -392,7 +452,7 @@ TEST_F(AutotuneTest, ProcessesSharingAWisdomFileAgree) {
 TEST_F(AutotuneTest, UnwritableCachePathWarnsAndStaysMemoryOnly) {
   autotuner tuner{"/nonexistent-dcmesh-dir/sub/wisdom.jsonl"};
   const auto choice = tuner.resolve(sgemm_request("t/u", 128, 128, 128));
-  EXPECT_EQ(choice.provenance, blas::auto_provenance::calibrated);
+  EXPECT_EQ(choice.provenance, blas::auto_provenance::modeled);
   const auto warm = tuner.resolve(sgemm_request("t/u", 128, 128, 128));
   EXPECT_EQ(warm.provenance, blas::auto_provenance::cached);
 }
@@ -457,8 +517,8 @@ TEST_F(AutotuneTest, AutoPolicyResolvesThroughInstalledTuner) {
 
   const auto counters = trace::gemm_metrics_for("e2e/site");
   EXPECT_EQ(counters.calls, 2u);
-  ASSERT_EQ(counters.tune_calls.count("calibrated"), 1u);
-  EXPECT_EQ(counters.tune_calls.at("calibrated"), 1u);
+  ASSERT_EQ(counters.tune_calls.count("modeled"), 1u);
+  EXPECT_EQ(counters.tune_calls.at("modeled"), 1u);
   ASSERT_EQ(counters.tune_calls.count("cached"), 1u);
   EXPECT_EQ(counters.tune_calls.at("cached"), 1u);
   EXPECT_GT(trace::gemm_metrics_for(kCalibrationSite).calls, 0u);

@@ -43,8 +43,6 @@ class WisdomStoreTest : public ::testing::Test {
     e.ulp_budget = 1024.0;
     e.mode_token = std::move(mode);
     e.err_ulp = 1.0;
-    e.gflops = 10.0;
-    e.provenance = "calibrated";
     e.generation = generation;
     return e;
   }
@@ -167,40 +165,6 @@ TEST_F(WisdomStoreTest, BlockingFieldsAreFillOnlyUnderMerge) {
     EXPECT_EQ(e.block_n, 512);
     EXPECT_EQ(e.block_isa, "scalar");
   }
-  std::remove(path.c_str());
-}
-
-TEST_F(WisdomStoreTest, V1StoreLoadsAndUpgradesOnMerge) {
-  const std::string path = temp_path("store_v1.jsonl");
-  std::remove(path.c_str());
-
-  // A file written by the previous release: format version 1, no
-  // blocking fields on the entry line.
-  std::string v1_header = wisdom_header(3);
-  const auto pos = v1_header.find("\"dcmesh_wisdom\":2");
-  ASSERT_NE(pos, std::string::npos) << v1_header;
-  v1_header.replace(pos, 17, "\"dcmesh_wisdom\":1");
-  ASSERT_TRUE(wisdom_header_ok(v1_header));
-  {
-    std::ofstream os(path, std::ios::trunc);
-    os << v1_header << '\n' << entry("g/old", "STANDARD", 3).to_json()
-       << '\n';
-  }
-  const auto file = load_wisdom(path);
-  EXPECT_TRUE(file.existed);
-  EXPECT_TRUE(file.version_ok);
-  ASSERT_EQ(file.entries.size(), 1u);
-  EXPECT_EQ(file.entries[0].block_m, 0);  // reads as "never probed"
-  EXPECT_TRUE(file.entries[0].block_isa.empty());
-
-  // The first merge rewrites the header at the current format version —
-  // the store upgrades in place, keeping the old entries.
-  ASSERT_TRUE(merge_wisdom(path, {entry("g/new", "STANDARD")}).ok);
-  std::ifstream is(path);
-  std::string header_line;
-  ASSERT_TRUE(std::getline(is, header_line));
-  EXPECT_NE(header_line.find("\"dcmesh_wisdom\":2"), std::string::npos);
-  EXPECT_EQ(load_wisdom(path).entries.size(), 2u);
   std::remove(path.c_str());
 }
 
