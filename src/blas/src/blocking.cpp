@@ -20,12 +20,14 @@ thread_local bool t_override_active = false;
 }  // namespace
 
 blas_int blocking_row_quantum(kernel_isa isa) noexcept {
-  // lcm over the f32, f64 and complex-plane MR per tier.
-  return isa == kernel_isa::avx512 ? 56 : 12;
+  // lcm over the f32, f64 and complex-plane MR per tier: lcm(6, 4, 8, 4)
+  // and lcm(14, 8, 8, 4).
+  return isa == kernel_isa::avx512 ? 56 : 24;
 }
 
 blas_int blocking_col_quantum(kernel_isa isa) noexcept {
-  // lcm over the f32, f64 and complex-plane NR per tier.
+  // lcm over the f32, f64 and complex-plane NR per tier: lcm(16, 8, 8)
+  // and lcm(32, 16, 8).
   return isa == kernel_isa::avx512 ? 32 : 16;
 }
 
@@ -44,6 +46,15 @@ gemm_blocking legalize_blocking(kernel_isa isa, blas_int mc,
   if (nc <= 0) nc = dflt.nc;
   return {round_to_quantum(mc, blocking_row_quantum(isa), kMaxBlockM),
           round_to_quantum(nc, blocking_col_quantum(isa), kMaxBlockN)};
+}
+
+gemm_blocking blocking_for_team(gemm_blocking blk, blas_int m, double macs,
+                                int mr, int team) noexcept {
+  if (macs <= kSmallMacs || team <= 1 || m <= 0) return blk;
+  if ((m + blk.mc - 1) / blk.mc >= team) return blk;
+  const blas_int strips = (m + mr - 1) / mr;
+  const blas_int per_member = (strips + team - 1) / team;
+  return {std::min<blas_int>(blk.mc, per_member * mr), blk.nc};
 }
 
 gemm_blocking effective_blocking() noexcept {

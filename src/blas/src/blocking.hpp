@@ -22,6 +22,7 @@
 #include <optional>
 
 #include "dcmesh/blas/blas.hpp"
+#include "dcmesh/sched/config.hpp"
 #include "kernel_isa.hpp"
 
 namespace dcmesh::blas::detail {
@@ -37,9 +38,10 @@ struct gemm_blocking {
 };
 
 /// Row/column quanta per tier: lcm of every element type's MR (rows) /
-/// NR (columns), the complex engine's plane tiles included (4 rows; 8
-/// float or 4 double columns).  scalar+avx2 tiles (6,4,4)x(16,8,8,4) ->
-/// 12 x 16; avx512 tiles (14,8,4)x(32,16,8,4) -> 56 x 32.
+/// NR (columns), the complex engine's plane tiles included (kComplexMr:
+/// 8 float or 4 double rows; kComplexNr = 8 columns).  scalar+avx2 tiles
+/// (6,4,8,4)x(16,8,8) -> 24 x 16; avx512 tiles (14,8,8,4)x(32,16,8) ->
+/// 56 x 32.
 [[nodiscard]] blas_int blocking_row_quantum(kernel_isa isa) noexcept;
 [[nodiscard]] blas_int blocking_col_quantum(kernel_isa isa) noexcept;
 
@@ -59,6 +61,31 @@ inline constexpr blas_int kMaxBlockN = 8192;
 /// override on this thread, else the active tier's default.  Resolve
 /// once per GEMM call, on the calling thread.
 [[nodiscard]] gemm_blocking effective_blocking() noexcept;
+
+/// Calls of at most this many multiply-adds are too small to share: the
+/// complex engine runs them as one block on the calling thread, and no
+/// engine narrows its blocking for the team below it.
+inline constexpr double kSmallMacs = 1 << 18;
+
+/// The blocking an m-row call of `macs` multiply-adds shares across a
+/// team of `team` threads, for an engine of mr-row tiles.  Above
+/// kSmallMacs, a call with fewer row blocks than members gets MC narrowed
+/// to whole MR strips, so each member gets about the same rows; NC is
+/// kept.  It only ever narrows `blk`: every C element keeps its
+/// accumulation chain, so the partition changes no bits.
+[[nodiscard]] gemm_blocking blocking_for_team(gemm_blocking blk, blas_int m,
+                                              double macs, int mr,
+                                              int team) noexcept;
+
+/// The same on the calling thread's kernel team (sched::team_size(),
+/// asked only above kSmallMacs).  Resolve once per call, on the calling
+/// thread.
+[[nodiscard]] inline gemm_blocking blocking_for_team(gemm_blocking blk,
+                                                     blas_int m, double macs,
+                                                     int mr) {
+  if (macs <= kSmallMacs) return blk;
+  return blocking_for_team(blk, m, macs, mr, sched::team_size());
+}
 
 /// Install a thread-local blocking override for the lifetime of the
 /// scope.  Requests are legalized against the active tier; {0, 0} (or

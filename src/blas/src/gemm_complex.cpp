@@ -1,5 +1,5 @@
-// gemm_complex.cpp — cgemm/zgemm: the fused complex engine for standard
-// and 3M arithmetic, and the plane route of the FP32 split modes.
+// gemm_complex.cpp — cgemm/zgemm: the fused complex engine for standard,
+// 3M and FP32 split arithmetic.
 //
 // Complex products run on real planes (the way the XMX hardware path
 // consumes complex data, and what vectorizes): op(A) = Ar + i*Ai and
@@ -29,8 +29,22 @@
 // path), never as per-slice partials, and nothing here allocates after
 // warmup.
 //
-// Split modes apply to the component products and keep their per-product
-// sgemm_split route, reading dense planes from the arena.
+// A FLOAT_TO_* split mode (CGEMM only) runs on the same 4M passes: each
+// real plane is split into its split_for components once, as it is
+// packed, and every retained component product (ca, cb) of a plane
+// product is its own sweep over K.  Per element that is the order of the
+// four sgemm_split products the planes once went through:
+//   Pr: every Ar*Br product (product-major, pc ascending inside each),
+//       then every Ai*Bi product at sign -1
+//   Pi: every Ar*Bi product, then every Ai*Br product
+// and combine_planes finishes, so the bits are those of four split GEMMs
+// over dense planes (tests/blas keeps that route as the oracle).  Split
+// operands are packed whole-K (products revisit every slice), in the
+// same arena slots.
+//
+// Large calls share their row blocks across the kernel team, MC narrowed
+// by blocking_for_team (blocking.hpp) when C has fewer row blocks than
+// team members; each block owns its rows of C.
 
 #include <algorithm>
 #include <cmath>
@@ -51,13 +65,12 @@ namespace dcmesh::blas {
 namespace detail {
 namespace {
 
-/// Calls of at most this many complex multiply-adds, whose running plane
-/// products fit kResidentBytes, run as one block on the calling thread:
-/// no MC/NC partition and no team fork.  Covers every
-/// LFD call of the tiny preset (the largest, 8x8x512 and 512x8x8, are
-/// 2^15) and the 32x32x32 subspace calls of the scaled one.
-constexpr double kSmallMacs = 1 << 18;
-
+/// Calls of at most kSmallMacs complex multiply-adds (blocking.hpp),
+/// whose running plane products fit kResidentBytes, run as one block on
+/// the calling thread: no MC/NC partition and no team fork.  That covers
+/// every LFD call of the tiny preset (the largest, 8x8x512 and 512x8x8,
+/// are 2^15) and the 32x32x32 subspace calls of the scaled one.
+///
 /// A packed operand (all planes, whole K: the shared B panel, or one row
 /// block of A) is packed once up front when it fits this size; a larger
 /// one is packed per kBlockK slice as the passes reach it, which packs B
@@ -235,8 +248,8 @@ void pack_strip(const std::complex<R>* x, blas_int lane_step,
 /// `lanes`.  Planes [first, first + count) are written, plane q at
 /// dst + q * plane_stride: 0 = re, 1 = im (negated when `conj`), 2 =
 /// re + im.  A blocks pack with lanes = rows of op(A) and w = MR, B
-/// panels with lanes = columns of op(B) and w = NR; any other w (the
-/// split modes' dense planes) packs element by element.
+/// panels with lanes = columns of op(B) and w = NR (8, or 4 for double
+/// MR).
 template <typename R>
 void pack_planes(const std::complex<R>* x, blas_int lane_step,
                  blas_int k_step, blas_int lanes, blas_int kc, blas_int w,
@@ -257,15 +270,8 @@ void pack_planes(const std::complex<R>* x, blas_int lane_step,
     const std::complex<R>* xs = x + s * w * lane_step;
     if (w == 8) {
       pack_strip<R, 8>(xs, lane_step, k_step, live, kc, out);
-    } else if (w == 4) {
-      pack_strip<R, 4>(xs, lane_step, k_step, live, kc, out);
     } else {
-      for (blas_int p = 0; p < kc; ++p) {
-        for (blas_int l = 0; l < w; ++l) {
-          put(out, p * w + l,
-              l < live ? xs[l * lane_step + p * k_step] : std::complex<R>(0));
-        }
-      }
+      pack_strip<R, 4>(xs, lane_step, k_step, live, kc, out);
     }
   }
 }
@@ -282,17 +288,25 @@ inline R fused_mul_add(R a, R b, R c) noexcept {
 }
 
 /// The fused engine: 4M (two passes) or 3M (one pass with three
-/// accumulators) under the order contract above.  Requires m, n, k > 0.
-template <typename R>
-void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
-                blas_int n, blas_int k, std::complex<R> alpha,
+/// accumulators) under the order contract above, and with Split (FP32
+/// only) a split mode's components and products on 4M.  Split is a
+/// template parameter so the standard and 3M paths carry none of the
+/// split bookkeeping.  Requires m, n, k > 0.
+template <typename R, bool Split>
+void gemm_fused(compute_mode mode, transpose transa, transpose transb,
+                blas_int m, blas_int n, blas_int k, std::complex<R> alpha,
                 const std::complex<R>* a, blas_int lda,
                 const std::complex<R>* b, blas_int ldb, std::complex<R> beta,
                 std::complex<R>* c, blas_int ldc) {
   constexpr blas_int mr = kComplexMr<R>;
   constexpr blas_int nr = kComplexNr;
   const complex_kernels<R> kernels = select_complex_kernels<R>();
+  const bool three_m = mode == compute_mode::complex_3m;
+  const split_spec spec = Split ? split_for(mode) : split_spec{1};
+  const int ncomp = Split ? spec.components : 1;
+  const auto products = retained_products(ncomp);
   const int planes = three_m ? 3 : 2;  // per operand, and plane products
+  const int slabs = planes * ncomp;    // packed (plane, component) slabs
   const int passes = three_m ? 1 : 2;
   const blas_int num_pc = (k + kBlockK - 1) / kBlockK;
   const blas_int kc_max = std::min<blas_int>(k, kBlockK);
@@ -300,39 +314,68 @@ void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
   const op_steps sb = steps_of(transb, ldb);
   const bool conj_a = transa == transpose::conj_trans;
   const bool conj_b = transb == transpose::conj_trans;
+  const double macs = static_cast<double>(m) * n * k;
   // A small call is one block whose running products fit the resident
   // cap, so that scratch stays bounded however tall or wide C is.
   const std::size_t small_p_bytes =
       static_cast<std::size_t>((m + mr - 1) / mr * mr) *
       ((n + nr - 1) / nr * nr) * planes * sizeof(R);
-  const bool small = static_cast<double>(m) * n * k <= kSmallMacs &&
-                     small_p_bytes <= kResidentBytes;
-  const gemm_blocking blk = small ? gemm_blocking{m, n} : effective_blocking();
+  const bool small = macs <= kSmallMacs && small_p_bytes <= kResidentBytes;
+  const gemm_blocking blk =
+      small ? gemm_blocking{m, n}
+            : blocking_for_team(effective_blocking(), m, macs, mr);
   const blas_int ic_blocks = (m + blk.mc - 1) / blk.mc;
+
+  // Packs one kBlockK slice t of an operand (`lanes` lanes, lane l, step
+  // p at x[l * lane_step + p * k_step]) into its (plane, component) slabs,
+  // slab (q, cmp) at dst + (q * ncomp + cmp) * stride: planes [first,
+  // first + count), each split into its components under a split mode.
+  const auto pack_slice = [&](const std::complex<R>* x, blas_int lane_step,
+                              blas_int k_step, bool conj, blas_int lanes,
+                              blas_int w, blas_int t, int first, int count,
+                              R* dst, std::size_t stride) {
+    const blas_int pc = t * kBlockK;
+    const blas_int kc = std::min<blas_int>(kBlockK, k - pc);
+    pack_planes(x + pc * k_step, lane_step, k_step, lanes, kc, w, conj,
+                first, count, dst, ncomp * stride);
+    if constexpr (Split) {
+      const std::size_t count_per_plane =
+          static_cast<std::size_t>((lanes + w - 1) / w) * kc * w;
+      for (int q = first; q < first + count; ++q) {
+        split_packed(dst + q * ncomp * stride, count_per_plane, spec, stride);
+      }
+    }
+  };
 
   for (blas_int jc = 0; jc < n; jc += blk.nc) {
     const blas_int nc = std::min<blas_int>(blk.nc, n - jc);
     const blas_int n_strips = (nc + nr - 1) / nr;
     const std::size_t b_stride =
         static_cast<std::size_t>(n_strips) * kc_max * nr;
-    const auto pack_b_slice = [&](blas_int t, R* dst) {
-      const blas_int pc = t * kBlockK;
-      pack_planes(b + pc * sb.row + jc * sb.col, sb.col, sb.row, nc,
-                  std::min<blas_int>(kBlockK, k - pc), nr, conj_b, 0,
-                  planes, dst, b_stride);
-    };
-    // A B panel that fits is packed once here, every slice and plane,
-    // and shared read-only by the blocks; otherwise each block packs
-    // its own slices as it reaches them.
-    const bool b_shared = static_cast<std::size_t>(num_pc) * planes *
-                              b_stride * sizeof(R) <=
-                          kResidentBytes;
+    const std::complex<R>* b_panel = b + jc * sb.col;
+    // A B panel that fits, or any split-mode panel (its products revisit
+    // every slice), is packed once here, every slice and slab, and shared
+    // read-only by the blocks; otherwise each block packs its own slices
+    // as it reaches them.
+    const std::size_t b_slice = static_cast<std::size_t>(slabs) * b_stride;
+    const bool b_shared =
+        Split || num_pc * b_slice * sizeof(R) <= kResidentBytes;
     R* b_panels = nullptr;
     if (b_shared) {
-      b_panels = pack_arena::for_thread().acquire<R>(
-          kArenaSlotB, static_cast<std::size_t>(num_pc) * planes * b_stride);
-      for (blas_int t = 0; t < num_pc; ++t) {
-        pack_b_slice(t, b_panels + t * planes * b_stride);
+      b_panels = pack_arena::for_thread().acquire<R>(kArenaSlotB,
+                                                     num_pc * b_slice);
+      const auto pack_b_shared = [&](long t) {
+        pack_slice(b_panel, sb.col, sb.row, conj_b, nc, nr, t, 0, planes,
+                   b_panels + t * b_slice, b_stride);
+      };
+      // Slices are disjoint, so the team may pack them.
+      if (!small && num_pc * b_slice >= static_cast<std::size_t>(
+                                            pack_parallel_min_elems(
+                                                active_kernel_isa()))) {
+        sched::team_parallel_for(num_pc,
+                                 [&](long t) { pack_b_shared(t); });
+      } else {
+        for (blas_int t = 0; t < num_pc; ++t) pack_b_shared(t);
       }
     }
 
@@ -351,61 +394,63 @@ void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
       std::fill_n(pr, planes * p_stride, R(0));
       const std::size_t a_stride =
           static_cast<std::size_t>(m_strips) * kc_max * mr;
-      const bool a_resident = static_cast<std::size_t>(num_pc) * planes *
-                                  a_stride * sizeof(R) <=
-                              kResidentBytes;
-      R* a_panels = arena.acquire<R>(
-          kArenaSlotA, (a_resident ? num_pc : 1) * planes * a_stride);
-      R* b_block = b_shared ? nullptr
-                            : arena.acquire<R>(kArenaSlotB, planes * b_stride);
+      const std::size_t a_slice = static_cast<std::size_t>(slabs) * a_stride;
+      const bool a_resident =
+          Split || num_pc * a_slice * sizeof(R) <= kResidentBytes;
+      R* a_panels =
+          arena.acquire<R>(kArenaSlotA, (a_resident ? num_pc : 1) * a_slice);
+      R* b_block = b_shared ? nullptr : arena.acquire<R>(kArenaSlotB, b_slice);
 
-      const auto pack_a_slice = [&](blas_int t, R* dst, int first,
-                                    int count) {
-        const blas_int pc = t * kBlockK;
-        pack_planes(a + ic * sa.row + pc * sa.col, sa.row, sa.col, mc,
-                    std::min<blas_int>(kBlockK, k - pc), mr, conj_a, first,
-                    count, dst, a_stride);
-      };
+      const std::complex<R>* a_block = a + ic * sa.row;
       if (a_resident) {
         for (blas_int t = 0; t < num_pc; ++t) {
-          pack_a_slice(t, a_panels + t * planes * a_stride, 0, planes);
+          pack_slice(a_block, sa.row, sa.col, conj_a, mc, mr, t, 0, planes,
+                     a_panels + t * a_slice, a_stride);
         }
       }
 
       for (int pass = 0; pass < passes; ++pass) {
-        for (blas_int t = 0; t < num_pc; ++t) {
-          const blas_int kc = std::min<blas_int>(kBlockK, k - t * kBlockK);
-          const R* bt = b_panels + t * planes * b_stride;
-          if (!b_shared) {
-            pack_b_slice(t, b_block);
-            bt = b_block;
-          }
-          const R* at = a_panels + t * planes * a_stride;
-          if (!a_resident) {
-            // 4M's pass reads one A plane; 3M's single pass all three.
-            pack_a_slice(t, a_panels, three_m ? 0 : pass,
-                         three_m ? planes : 1);
-            at = a_panels;
-          }
-          for (blas_int js = 0; js < n_strips; ++js) {
-            const R* bs = bt + js * kc * nr;
-            for (blas_int is = 0; is < m_strips; ++is) {
-              const R* as = at + is * kc * mr;
-              R* tile = pr + js * nr * ldp + is * mr;
-              if (three_m) {
-                const R* ap[3] = {as, as + a_stride, as + 2 * a_stride};
-                const R* bp[3] = {bs, bs + b_stride, bs + 2 * b_stride};
-                R* pp[3] = {tile, tile + p_stride, tile + 2 * p_stride};
-                kernels.triple(kc, ap, bp, pp, ldp, R(1));
-              } else {
-                // Pass 0: Pr += Ar*Br, Pi += Ar*Bi;
-                // pass 1: Pr -= Ai*Bi, Pi += Ai*Br.
-                const R* x = as + pass * a_stride;
-                const R* ap[2] = {x, x};
-                const R* bp[2] = {bs + pass * b_stride,
-                                  bs + (1 - pass) * b_stride};
-                R* pp[2] = {tile, tile + p_stride};
-                kernels.pair(kc, ap, bp, pp, ldp, pass == 0 ? R(1) : R(-1));
+        for (const auto& [ca, cb] : products) {
+          // Slab offsets of this pass's component product (4M).
+          const std::size_t a_off = (pass * ncomp + ca) * a_stride;
+          const std::size_t b_off0 = (pass * ncomp + cb) * b_stride;
+          const std::size_t b_off1 = ((1 - pass) * ncomp + cb) * b_stride;
+          const R sign0 = pass == 0 ? R(1) : R(-1);
+          for (blas_int t = 0; t < num_pc; ++t) {
+            const blas_int kc = std::min<blas_int>(kBlockK, k - t * kBlockK);
+            const R* bt = b_panels + t * b_slice;
+            if (!b_shared) {
+              pack_slice(b_panel, sb.col, sb.row, conj_b, nc, nr, t, 0, planes,
+                         b_block, b_stride);
+              bt = b_block;
+            }
+            const R* at = a_panels + t * a_slice;
+            if (!a_resident) {
+              // 4M's pass reads one A plane; 3M's single pass all three.
+              pack_slice(a_block, sa.row, sa.col, conj_a, mc, mr, t,
+                         three_m ? 0 : pass, three_m ? planes : 1, a_panels,
+                         a_stride);
+              at = a_panels;
+            }
+            for (blas_int js = 0; js < n_strips; ++js) {
+              const R* bs = bt + js * kc * nr;
+              for (blas_int is = 0; is < m_strips; ++is) {
+                const R* as = at + is * kc * mr;
+                R* tile = pr + js * nr * ldp + is * mr;
+                if (three_m) {
+                  const R* ap[3] = {as, as + a_stride, as + 2 * a_stride};
+                  const R* bp[3] = {bs, bs + b_stride, bs + 2 * b_stride};
+                  R* pp[3] = {tile, tile + p_stride, tile + 2 * p_stride};
+                  kernels.triple(kc, ap, bp, pp, ldp, R(1));
+                } else {
+                  // Pass 0: Pr += Ar*Br, Pi += Ar*Bi;
+                  // pass 1: Pr -= Ai*Bi, Pi += Ai*Br; one component
+                  // product (ca, cb) of each at a time.
+                  const R* ap[2] = {as + a_off, as + a_off};
+                  const R* bp[2] = {bs + b_off0, bs + b_off1};
+                  R* pp[2] = {tile, tile + p_stride};
+                  kernels.pair(kc, ap, bp, pp, ldp, sign0);
+                }
               }
             }
           }
@@ -428,50 +473,6 @@ void gemm_fused(bool three_m, transpose transa, transpose transb, blas_int m,
     // Blocks own disjoint rows of C, so the team needs no reduction.
     sched::team_parallel_for(ic_blocks, [&](long ib) { run_block(ib); });
   }
-}
-
-/// CGEMM under a FLOAT_TO_* mode: the split applies to each of the four
-/// real plane products, so they stay four sgemm_split calls over dense
-/// planes (held in the arena's planes slot, which sgemm_split never uses).
-void gemm_split_planes(compute_mode mode, transpose transa, transpose transb,
-                       blas_int m, blas_int n, blas_int k,
-                       std::complex<float> alpha,
-                       const std::complex<float>* a, blas_int lda,
-                       const std::complex<float>* b, blas_int ldb,
-                       std::complex<float> beta, std::complex<float>* c,
-                       blas_int ldc) {
-  const blas_int rows_a = transa == transpose::none ? m : k;
-  const blas_int cols_a = transa == transpose::none ? k : m;
-  const blas_int rows_b = transb == transpose::none ? k : n;
-  const blas_int cols_b = transb == transpose::none ? n : k;
-  const std::size_t size_a = static_cast<std::size_t>(rows_a) * cols_a;
-  const std::size_t size_b = static_cast<std::size_t>(rows_b) * cols_b;
-  const std::size_t size_c = static_cast<std::size_t>(m) * n;
-  float* ar = pack_arena::for_thread().acquire<float>(
-      kArenaSlotPlanes, 2 * (size_a + size_b + size_c));
-  float* ai = ar + size_a;
-  float* br = ai + size_a;
-  float* bi = br + size_b;
-  float* pr = bi + size_b;
-  float* pi = pr + size_c;
-  // One strip as wide as the operand is its dense column-major copy.
-  pack_planes(a, 1, lda, rows_a, cols_a, rows_a,
-              transa == transpose::conj_trans, 0, 2, ar, size_a);
-  pack_planes(b, 1, ldb, rows_b, cols_b, rows_b,
-              transb == transpose::conj_trans, 0, 2, br, size_b);
-
-  // Conjugation is folded into the planes: each product is a real GEMM.
-  const transpose ta = transa == transpose::none ? transa : transpose::trans;
-  const transpose tb = transb == transpose::none ? transb : transpose::trans;
-  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ar, rows_a, br, rows_b, 0.0f, pr,
-              m);
-  sgemm_split(mode, ta, tb, m, n, k, -1.0f, ai, rows_a, bi, rows_b, 1.0f,
-              pr, m);
-  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ar, rows_a, bi, rows_b, 0.0f, pi,
-              m);
-  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ai, rows_a, br, rows_b, 1.0f, pi,
-              m);
-  combine_planes(m, n, alpha, pr, pi, m, beta, c, ldc);
 }
 
 /// Shared front half of both precisions: the BLAS argument contract and
@@ -545,12 +546,12 @@ void gemm_at_mode(compute_mode mode, transpose transa, transpose transb,
                      ldc)) {
     return;
   }
-  if (is_split_mode(mode)) {
-    gemm_split_planes(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb,
-                      beta, c, ldc);
+  if (split_for(mode).components > 0) {
+    gemm_fused<float, true>(mode, transa, transb, m, n, k, alpha, a, lda, b,
+                            ldb, beta, c, ldc);
   } else {
-    gemm_fused(mode == compute_mode::complex_3m, transa, transb, m, n, k,
-               alpha, a, lda, b, ldb, beta, c, ldc);
+    gemm_fused<float, false>(mode, transa, transb, m, n, k, alpha, a, lda, b,
+                             ldb, beta, c, ldc);
   }
 }
 
@@ -564,9 +565,9 @@ void gemm_at_mode(compute_mode mode, transpose transa, transpose transb,
                      ldc)) {
     return;
   }
-  // FP32 split modes do not apply to double precision; COMPLEX_3M does.
-  gemm_fused(mode == compute_mode::complex_3m, transa, transb, m, n, k, alpha,
-             a, lda, b, ldb, beta, c, ldc);
+  // FP32 split modes do not apply to double precision.
+  gemm_fused<double, false>(mode, transa, transb, m, n, k, alpha, a, lda, b,
+                            ldb, beta, c, ldc);
 }
 
 }  // namespace detail

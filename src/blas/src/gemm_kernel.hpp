@@ -191,11 +191,12 @@ void gemm_blocked_accumulate(transpose transa, transpose transb, blas_int m,
 
   // Resolved ONCE, on the calling thread: kernel + tile shape from the
   // active ISA, MC/NC from the scoped override (the dispatcher's planned
-  // blocking) or the tier default.
+  // blocking) or the tier default, narrowed for the team.
   const kernel_desc<T> desc = select_kernel_desc<T>();
   const int mr = desc.mr;
   const int nr = desc.nr;
-  const gemm_blocking blk = effective_blocking();
+  const gemm_blocking blk = blocking_for_team(
+      effective_blocking(), m, static_cast<double>(m) * n * k, mr);
   const blas_int block_m = blk.mc;
   const blas_int block_n = blk.nc;
 

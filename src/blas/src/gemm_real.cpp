@@ -45,7 +45,8 @@ void sgemm_split(compute_mode mode, transpose transa, transpose transb,
   const kernel_desc<float> desc = select_kernel_desc<float>();
   const int mr = desc.mr;
   const int nr = desc.nr;
-  const gemm_blocking blk = effective_blocking();
+  const gemm_blocking blk = blocking_for_team(
+      effective_blocking(), m, static_cast<double>(m) * n * k, mr);
   const blas_int block_m = blk.mc;
   const blas_int block_n = blk.nc;
   const int ncomp = spec.components;

@@ -19,10 +19,7 @@
 //    thread can hold both simultaneously.  The fused complex engine adds
 //    slot_p (each block's running plane products) on whichever thread
 //    runs the block.
-//  - Slots must not be held across a nested GEMM call on the same thread,
-//    with one exception: under a split mode the complex engine keeps its
-//    dense planes in slot_planes while it runs the four real sgemm_split
-//    products, which use slots A and B only.
+//  - Slots must not be held across a nested GEMM call on the same thread.
 //
 // Packed panels are fully written (edge tiles are zero-padded by the pack
 // routines), so acquire() intentionally does not zero memory.
@@ -37,14 +34,12 @@
 namespace dcmesh::blas::detail {
 
 /// Arena slots: B panels (packed by the calling thread, shared with the
-/// parallel region), A blocks (private to each worker thread), the
-/// complex engine's running plane products, and its split-mode dense
-/// planes.
+/// parallel region), A blocks (private to each worker thread), and the
+/// complex engine's running plane products.
 inline constexpr int kArenaSlotB = 0;
 inline constexpr int kArenaSlotA = 1;
 inline constexpr int kArenaSlotP = 2;
-inline constexpr int kArenaSlotPlanes = 3;
-inline constexpr int kArenaSlots = 4;
+inline constexpr int kArenaSlots = 3;
 
 /// Grow-only aligned scratch slots; one instance per thread.
 class pack_arena {

@@ -7,8 +7,8 @@
 namespace dcmesh::blas::detail {
 namespace {
 
-/// Component rounding, resolved at compile time so the fused pack loops
-/// pay no branch or indirect call per element.
+/// Component rounding, resolved at compile time so the split loop pays
+/// no branch or indirect call per element.
 template <round_kind K>
 [[nodiscard]] inline float round_component(float x) noexcept {
   if constexpr (K == round_kind::bf16) {
@@ -18,117 +18,83 @@ template <round_kind K>
   }
 }
 
-/// Emit the component chain of one source element at packed offset `off`:
-/// comp[c] = round(residual), residual -= comp[c] — the two-phase
-/// decomposition's recurrence, fused to a single pass.
-template <round_kind K>
-inline void write_components(float value, int ncomp, float* dst,
-                             std::size_t comp_stride,
-                             std::size_t off) noexcept {
-  float residual = value;
-  for (int c = 0; c < ncomp; ++c) {
-    const float rounded = round_component<K>(residual);
-    dst[static_cast<std::size_t>(c) * comp_stride + off] = rounded;
-    residual -= rounded;
-  }
-}
-
-template <round_kind K>
-void pack_a_split_impl(const float* a, blas_int lda, transpose op,
-                       blas_int row0, blas_int col0, blas_int mc,
-                       blas_int kc, int ncomp, float* dst,
-                       std::size_t comp_stride, int mr) {
-  const blas_int strips = (mc + mr - 1) / mr;
-  for (blas_int s = 0; s < strips; ++s) {
-    const std::size_t strip_off =
-        static_cast<std::size_t>(s) * (static_cast<std::size_t>(kc) * mr);
-    const blas_int i0 = s * mr;
-    const int rows = static_cast<int>(std::min<blas_int>(mr, mc - i0));
-    for (blas_int p = 0; p < kc; ++p) {
-      const std::size_t col_off = strip_off + static_cast<std::size_t>(p) * mr;
-      for (int i = 0; i < rows; ++i) {
-        write_components<K>(op_element(a, lda, op, row0 + i0 + i, col0 + p),
-                            ncomp, dst, comp_stride, col_off + i);
-      }
-      for (int i = rows; i < mr; ++i) {
-        for (int c = 0; c < ncomp; ++c) {
-          dst[static_cast<std::size_t>(c) * comp_stride + col_off + i] = 0.0f;
-        }
-      }
+/// The two-phase decomposition's recurrence, comp[c] = round(residual),
+/// residual -= comp[c], over a packed slab.  The component count is fixed
+/// at compile time and the component slabs are disjoint (comp_stride >=
+/// count), so the loop vectorizes; each element's chain is unchanged.
+template <round_kind K, int N>
+void split_packed_impl(float* slab, std::size_t count,
+                       std::size_t comp_stride) {
+  float* __restrict comp[N];
+  for (int c = 0; c < N; ++c) comp[c] = slab + c * comp_stride;
+  for (std::size_t i = 0; i < count; ++i) {
+    float residual = comp[0][i];
+    for (int c = 0; c < N; ++c) {
+      const float rounded = round_component<K>(residual);
+      comp[c][i] = rounded;
+      residual -= rounded;
     }
   }
 }
 
 template <round_kind K>
-void pack_b_split_impl(const float* b, blas_int ldb, transpose op,
-                       blas_int row0, blas_int col0, blas_int kc,
-                       blas_int nc, int ncomp, float* dst,
-                       std::size_t comp_stride, int nr, bool parallel) {
-  const blas_int strips = (nc + nr - 1) / nr;
-  const auto pack_strip = [&](long s) {
-    const std::size_t strip_off =
-        static_cast<std::size_t>(s) * (static_cast<std::size_t>(kc) * nr);
-    const blas_int j0 = static_cast<blas_int>(s) * nr;
-    const int cols = static_cast<int>(std::min<blas_int>(nr, nc - j0));
-    for (blas_int p = 0; p < kc; ++p) {
-      const std::size_t row_off = strip_off + static_cast<std::size_t>(p) * nr;
-      for (int j = 0; j < cols; ++j) {
-        write_components<K>(op_element(b, ldb, op, row0 + p, col0 + j0 + j),
-                            ncomp, dst, comp_stride, row_off + j);
-      }
-      for (int j = cols; j < nr; ++j) {
-        for (int c = 0; c < ncomp; ++c) {
-          dst[static_cast<std::size_t>(c) * comp_stride + row_off + j] = 0.0f;
-        }
-      }
-    }
-  };
-  if (parallel &&
-      ncomp * kc * nc >= pack_parallel_min_elems(active_kernel_isa())) {
-    sched::team_parallel_for(strips, pack_strip);
-  } else {
-    for (blas_int s = 0; s < strips; ++s) pack_strip(s);
+void split_packed_kind(float* slab, std::size_t count, int ncomp,
+                       std::size_t comp_stride) {
+  switch (ncomp) {
+    case 1:
+      split_packed_impl<K, 1>(slab, count, comp_stride);
+      break;
+    case 2:
+      split_packed_impl<K, 2>(slab, count, comp_stride);
+      break;
+    default:
+      split_packed_impl<K, 3>(slab, count, comp_stride);
+      break;
   }
 }
 
 }  // namespace
 
+void split_packed(float* slab, std::size_t count, const split_spec& spec,
+                  std::size_t comp_stride) {
+  if (spec.kind == round_kind::bf16) {
+    split_packed_kind<round_kind::bf16>(slab, count, spec.components,
+                                        comp_stride);
+  } else {
+    split_packed_kind<round_kind::tf32>(slab, count, spec.components,
+                                        comp_stride);
+  }
+}
+
 void pack_a_split(const float* a, blas_int lda, transpose op, blas_int row0,
                   blas_int col0, blas_int mc, blas_int kc,
                   const split_spec& spec, float* dst,
                   std::size_t comp_stride, int mr) {
-  if (spec.kind == round_kind::bf16) {
-    pack_a_split_impl<round_kind::bf16>(a, lda, op, row0, col0, mc, kc,
-                                        spec.components, dst, comp_stride,
-                                        mr);
-  } else {
-    pack_a_split_impl<round_kind::tf32>(a, lda, op, row0, col0, mc, kc,
-                                        spec.components, dst, comp_stride,
-                                        mr);
-  }
+  pack_a(a, lda, op, row0, col0, mc, kc, dst, mr);
+  split_packed(dst, static_cast<std::size_t>((mc + mr - 1) / mr) * kc * mr,
+               spec, comp_stride);
 }
 
 void pack_b_split(const float* b, blas_int ldb, transpose op, blas_int row0,
                   blas_int col0, blas_int kc, blas_int nc,
                   const split_spec& spec, float* dst,
                   std::size_t comp_stride, int nr, bool parallel) {
-  if (spec.kind == round_kind::bf16) {
-    pack_b_split_impl<round_kind::bf16>(b, ldb, op, row0, col0, kc, nc,
-                                        spec.components, dst, comp_stride,
-                                        nr, parallel);
+  const blas_int strips = (nc + nr - 1) / nr;
+  const std::size_t strip_size = static_cast<std::size_t>(kc) * nr;
+  // Strip s is the one-strip panel at columns [s * nr, s * nr + nr).
+  const auto pack_strip = [&](long s) {
+    const blas_int j0 = static_cast<blas_int>(s) * nr;
+    float* strip = dst + s * strip_size;
+    pack_b(b, ldb, op, row0, col0 + j0, kc, std::min<blas_int>(nr, nc - j0),
+           strip, nr);
+    split_packed(strip, strip_size, spec, comp_stride);
+  };
+  if (parallel && spec.components * kc * nc >=
+                      pack_parallel_min_elems(active_kernel_isa())) {
+    sched::team_parallel_for(strips, [&](long s) { pack_strip(s); });
   } else {
-    pack_b_split_impl<round_kind::tf32>(b, ldb, op, row0, col0, kc, nc,
-                                        spec.components, dst, comp_stride,
-                                        nr, parallel);
+    for (blas_int s = 0; s < strips; ++s) pack_strip(s);
   }
-}
-
-std::span<const std::pair<int, int>> retained_products(
-    int components) noexcept {
-  static constexpr std::pair<int, int> kPairs[] = {
-      {0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {2, 0}};
-  const int n = std::clamp(components, 0, 3);
-  return {kPairs, static_cast<std::size_t>(n * (n + 1) / 2)};
 }
 
 }  // namespace dcmesh::blas::detail

@@ -10,12 +10,14 @@
 // order can differ, which is unspecified on hardware as well.
 //
 // The engine never materialises dense component matrices:
-// pack_a_split/pack_b_split fuse the decomposition into the Goto-style
-// panel packing, emitting all N component panels in one pass over the
-// source operand.  The original two-phase arithmetic (dense component
-// copies, one blocked pass per product) lives on in the test tree as the
-// bit-exactness oracle.
+// pack_a_split/pack_b_split read each Goto-style panel from the source
+// operand once, as pack_a/pack_b do, and split the packed panel in place
+// into its N component panels (split_packed) while it is in cache.  The
+// original two-phase arithmetic (dense component copies, one blocked
+// pass per product) lives on in the test tree as the bit-exactness
+// oracle.
 
+#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -57,12 +59,12 @@ struct split_spec {
   return split_for(mode).components > 0;
 }
 
-/// Fused pack of an mc x kc block of op(A): emits spec.components packed
-/// component blocks in one pass over the source, each in the exact
-/// pack_a strip layout for an `mr`-tall tile, at dst + c * comp_stride
-/// for component c: comp[0] = round(x), comp[c] = round(x - comp[0] -
-/// ... - comp[c-1]), so the component sum converges to x with ~7 extra
-/// mantissa bits per BF16 component.
+/// Fused pack of an mc x kc block of op(A): spec.components packed
+/// component blocks, each in the exact pack_a strip layout for an
+/// `mr`-tall tile, at dst + c * comp_stride for component c: comp[0] =
+/// round(x), comp[c] = round(x - comp[0] - ... - comp[c-1]), so the
+/// component sum converges to x with ~7 extra mantissa bits per BF16
+/// component.
 void pack_a_split(const float* a, blas_int lda, transpose op, blas_int row0,
                   blas_int col0, blas_int mc, blas_int kc,
                   const split_spec& spec, float* dst,
@@ -77,9 +79,15 @@ void pack_b_split(const float* b, blas_int ldb, transpose op, blas_int row0,
                   const split_spec& spec, float* dst, std::size_t comp_stride,
                   int nr, bool parallel);
 
+/// In-place split of `count` packed values: the value at slab[i] becomes
+/// its spec.components components, component c at slab[c * comp_stride +
+/// i] (comp_stride >= count), by the chain above.  Every split pack, real
+/// and complex, packs its panel plainly first and splits it here.
+void split_packed(float* slab, std::size_t count, const split_spec& spec,
+                  std::size_t comp_stride);
+
 /// sgemm under a FLOAT_TO_* split mode — the fused pack-once engine
-/// (defined in gemm_real.cpp; also used by the complex 4M path for its
-/// real component products).
+/// (defined in gemm_real.cpp).
 void sgemm_split(compute_mode mode, transpose transa, transpose transb,
                  blas_int m, blas_int n, blas_int k, float alpha,
                  const float* a, blas_int lda, const float* b, blas_int ldb,
@@ -103,7 +111,12 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
 /// N=1 -> 1 product; N=2 -> 3; N=3 -> 6 (Table II's 16x, 16/3x, 8/3x).
 /// A view of a static table (every N's list is a prefix of N=3's), so the
 /// GEMM path asks for it without allocating.
-[[nodiscard]] std::span<const std::pair<int, int>> retained_products(
-    int components) noexcept;
+[[nodiscard]] inline std::span<const std::pair<int, int>> retained_products(
+    int components) noexcept {
+  static constexpr std::pair<int, int> kPairs[] = {
+      {0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {2, 0}};
+  const int n = std::clamp(components, 0, 3);
+  return {kPairs, static_cast<std::size_t>(n * (n + 1) / 2)};
+}
 
 }  // namespace dcmesh::blas::detail

@@ -261,7 +261,8 @@ void sgemm_split_bf16_native(compute_mode mode, transpose transa,
 
   const split_spec spec = split_for(mode);
   const auto products = retained_products(spec.components);
-  const gemm_blocking blk = effective_blocking();
+  const gemm_blocking blk = blocking_for_team(
+      effective_blocking(), m, static_cast<double>(m) * n * k, kNativeMr);
   const blas_int block_m = blk.mc;
   const blas_int block_n = blk.nc;
   const int ncomp = spec.components;

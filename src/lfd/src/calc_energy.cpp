@@ -1,9 +1,11 @@
 #include "dcmesh/lfd/calc_energy.hpp"
 
 #include <atomic>
+#include <vector>
 
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/trace/tracer.hpp"
+#include "column_sum.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -78,10 +80,13 @@ double energy_local(const hamiltonian<R>& h,
   const std::size_t ngrid = psi.rows();
   const std::size_t norb = psi.cols();
   // Local potential energy: mesh reduction (not BLASified in DCMESH).
+  // Each occupied column's reduction runs on the kernel team on a large
+  // enough mesh (for_each_column); the column sum is taken in column
+  // order, so the result does not depend on the team.
   const std::span<const R> v = h.potential();
-  double epot = 0.0;
-  for (std::size_t j = 0; j < norb; ++j) {
-    if (occ[j] == 0.0) continue;
+  std::vector<double> partial(norb);
+  const auto reduce_column = [&](std::size_t j) {
+    if (occ[j] == 0.0) return;
     const C* col = psi.data() + j * ngrid;
     double e = 0.0;
     for (std::size_t gidx = 0; gidx < ngrid; ++gidx) {
@@ -90,7 +95,13 @@ double energy_local(const hamiltonian<R>& h,
           static_cast<double>(col[gidx].imag()) * col[gidx].imag();
       e += static_cast<double>(v[gidx]) * density;
     }
-    epot += occ[j] * e * dv;
+    partial[j] = e;
+  };
+  detail::for_each_column(norb, ngrid, reduce_column);
+  double epot = 0.0;
+  for (std::size_t j = 0; j < norb; ++j) {
+    if (occ[j] == 0.0) continue;
+    epot = detail::add_column(epot, occ[j], partial[j], dv);
   }
   return epot;
 }

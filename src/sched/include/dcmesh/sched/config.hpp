@@ -78,4 +78,10 @@ std::string describe_active();
 /// index-i-owned state, so results are bit-identical across team shapes.
 void team_parallel_for(long n, const std::function<void(long)>& body);
 
+/// The most shares a team_parallel_for issued from this thread splits
+/// into: the pool's workers, plus the caller when it is not one of them;
+/// 1 when teams run inline.  Kernels size their work partition by it
+/// (never their arithmetic, so results do not depend on it).
+int team_size();
+
 }  // namespace dcmesh::sched

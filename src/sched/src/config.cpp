@@ -115,6 +115,16 @@ thread_pool* team_pool_locked(sched_state& s) {
   return s.pool.get();
 }
 
+// The published team route, resolved (and the pool spawned) on first use.
+thread_pool* team_pool() {
+  if (g_team_ready.load(std::memory_order_acquire)) {
+    return g_team_pool.load(std::memory_order_acquire);
+  }
+  sched_state& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return team_pool_locked(s);
+}
+
 }  // namespace
 
 sched_config parse_sched(std::string_view text, bool* ok) {
@@ -197,17 +207,14 @@ std::string describe_active() {
   return "pool:" + std::to_string(pool_workers_locked(s));
 }
 
+int team_size() {
+  thread_pool* pool = team_pool();
+  if (pool == nullptr) return 1;
+  return pool->worker_count() + (pool->current_worker_id() < 0 ? 1 : 0);
+}
+
 void team_parallel_for(long n, const std::function<void(long)>& body) {
-  thread_pool* pool = nullptr;
-  if (n > 1) {
-    if (g_team_ready.load(std::memory_order_acquire)) {
-      pool = g_team_pool.load(std::memory_order_acquire);
-    } else {
-      sched_state& s = state();
-      std::lock_guard<std::mutex> lock(s.mutex);
-      pool = team_pool_locked(s);
-    }
-  }
+  thread_pool* pool = n > 1 ? team_pool() : nullptr;
   if (pool) {
     pool->parallel_for(n, body);
   } else {

@@ -1,6 +1,5 @@
 #include "complex_reference.hpp"
 
-#include <type_traits>
 #include <utility>
 
 #include "dcmesh/common/matrix.hpp"
@@ -44,30 +43,12 @@ std::pair<matrix<R>, matrix<R>> extract_planes(const std::complex<R>* x,
   return {std::move(re), std::move(im)};
 }
 
-/// Real GEMM that honours a split mode for float (standard otherwise;
-/// double precision never splits).
-template <typename R>
-void real_gemm_mode(compute_mode mode, transpose ta, transpose tb,
-                    blas_int m, blas_int n, blas_int k, R alpha, const R* a,
-                    blas_int lda, const R* b, blas_int ldb, R beta, R* c,
-                    blas_int ldc) {
-  if constexpr (std::is_same_v<R, float>) {
-    if (is_split_mode(mode)) {
-      sgemm_split(mode, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                  ldc);
-      return;
-    }
-  }
-  (void)mode;
-  gemm_blocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
 /// 4M complex GEMM over extracted planes: the standard complex algorithm
 /// expressed as four real products (real-plane GEMMs vectorize far better
 /// than a complex microkernel, and this is also how the XMX hardware path
-/// consumes complex data).  Split modes apply to the component products.
+/// consumes complex data).
 template <typename R>
-void gemm_4m(compute_mode mode, transpose transa, transpose transb,
+void gemm_4m(transpose transa, transpose transb,
              blas_int m, blas_int n, blas_int k, std::complex<R> alpha,
              const std::complex<R>* a, blas_int lda,
              const std::complex<R>* b, blas_int ldb, std::complex<R> beta,
@@ -87,15 +68,51 @@ void gemm_4m(compute_mode mode, transpose transa, transpose transb,
   matrix<R> pr(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
   matrix<R> pi(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
   // Pr = Ar*Br - Ai*Bi ; Pi = Ar*Bi + Ai*Br
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar.data(), rows_a,
-                    br.data(), rows_b, R(0), pr.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(-1), ai.data(), rows_a,
-                    bi.data(), rows_b, R(1), pr.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ar.data(), rows_a,
-                    bi.data(), rows_b, R(0), pi.data(), m);
-  real_gemm_mode<R>(mode, ta, tb, m, n, k, R(1), ai.data(), rows_a,
-                    br.data(), rows_b, R(1), pi.data(), m);
+  gemm_blocked(ta, tb, m, n, k, R(1), ar.data(), rows_a, br.data(), rows_b,
+               R(0), pr.data(), m);
+  gemm_blocked(ta, tb, m, n, k, R(-1), ai.data(), rows_a, bi.data(), rows_b,
+               R(1), pr.data(), m);
+  gemm_blocked(ta, tb, m, n, k, R(1), ar.data(), rows_a, bi.data(), rows_b,
+               R(0), pi.data(), m);
+  gemm_blocked(ta, tb, m, n, k, R(1), ai.data(), rows_a, br.data(), rows_b,
+               R(1), pi.data(), m);
 
+  combine_planes(m, n, alpha, pr.data(), pi.data(), m, beta, c, ldc);
+}
+
+/// CGEMM under a FLOAT_TO_* mode as the engine ran it before its split
+/// route was fused: the split applies to each of the four real plane
+/// products, so they are four sgemm_split calls over dense planes (the
+/// engine held the planes in a pack-arena slot; here they are matrices).
+void gemm_split_planes(compute_mode mode, transpose transa, transpose transb,
+                       blas_int m, blas_int n, blas_int k,
+                       std::complex<float> alpha,
+                       const std::complex<float>* a, blas_int lda,
+                       const std::complex<float>* b, blas_int ldb,
+                       std::complex<float> beta, std::complex<float>* c,
+                       blas_int ldc) {
+  const blas_int rows_a = transa == transpose::none ? m : k;
+  const blas_int cols_a = transa == transpose::none ? k : m;
+  const blas_int rows_b = transb == transpose::none ? k : n;
+  const blas_int cols_b = transb == transpose::none ? n : k;
+  auto [ar, ai] = extract_planes(a, rows_a, cols_a, lda,
+                                 transa == transpose::conj_trans);
+  auto [br, bi] = extract_planes(b, rows_b, cols_b, ldb,
+                                 transb == transpose::conj_trans);
+  matrix<float> pr(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
+  matrix<float> pi(static_cast<std::size_t>(m), static_cast<std::size_t>(n));
+
+  // Conjugation is folded into the planes: each product is a real GEMM.
+  const transpose ta = transa == transpose::none ? transa : transpose::trans;
+  const transpose tb = transb == transpose::none ? transb : transpose::trans;
+  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ar.data(), rows_a, br.data(),
+              rows_b, 0.0f, pr.data(), m);
+  sgemm_split(mode, ta, tb, m, n, k, -1.0f, ai.data(), rows_a, bi.data(),
+              rows_b, 1.0f, pr.data(), m);
+  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ar.data(), rows_a, bi.data(),
+              rows_b, 0.0f, pi.data(), m);
+  sgemm_split(mode, ta, tb, m, n, k, 1.0f, ai.data(), rows_a, br.data(),
+              rows_b, 1.0f, pi.data(), m);
   combine_planes(m, n, alpha, pr.data(), pi.data(), m, beta, c, ldc);
 }
 
@@ -170,9 +187,11 @@ void complex_gemm_reference(compute_mode mode, transpose transa,
   }
   if (mode == compute_mode::complex_3m) {
     gemm_3m(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  } else if (is_split_mode(mode)) {
+    gemm_split_planes(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb,
+                      beta, c, ldc);
   } else {
-    gemm_4m(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-            ldc);
+    gemm_4m(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
   }
 }
 
@@ -193,8 +212,7 @@ void complex_gemm_reference(compute_mode mode, transpose transa,
   if (mode == compute_mode::complex_3m) {
     gemm_3m(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
   } else {
-    gemm_4m(compute_mode::standard, transa, transb, m, n, k, alpha, a, lda,
-            b, ldb, beta, c, ldc);
+    gemm_4m(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
   }
 }
 

@@ -5,10 +5,11 @@
 // Before the fused complex engine, a CGEMM/ZGEMM extracted dense real and
 // imaginary planes of both operands and ran each real plane product as
 // its own blocked GEMM (four under standard arithmetic, three under
-// COMPLEX_3M, split modes applied to each product).  The fused engine
-// must stay bit-identical to that arithmetic under every mode and kernel
-// ISA; these definitions are the other side of that comparison and are
-// compiled into test_blas only.  Both sides end in the library's one
+// COMPLEX_3M, four sgemm_split calls under a split mode: the engine's
+// former gemm_split_planes).  The fused engine must stay bit-identical to
+// that arithmetic under every mode, kernel ISA and team size; these
+// definitions are the other side of that comparison and are compiled
+// into test_blas only.  Both sides end in the library's one
 // complex epilogue (combine_planes), whose FMA contraction would
 // otherwise differ between translation units.
 
@@ -21,7 +22,7 @@ namespace dcmesh::blas::detail {
 
 /// C <- alpha*op(A)*op(B) + beta*C through dense planes and one blocked
 /// real GEMM per plane product, with the engine's mode mapping (3M, or
-/// 4M with split modes on the products).
+/// 4M with a split mode's sgemm_split on each product).
 void complex_gemm_reference(compute_mode mode, transpose transa,
                             transpose transb, blas_int m, blas_int n,
                             blas_int k, std::complex<float> alpha,

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "blocking.hpp"
@@ -154,22 +155,26 @@ TEST(ComplexEngine, SmallGridBitIdenticalUnderEveryIsa) {
 }
 
 TEST(ComplexEngine, SplitModesReadPlanesBitIdentically) {
+  // The fused split route against the four-sgemm_split plane route.
   engine_guard guard;
   const std::complex<float> alpha(0.75f, -0.5f), beta(0.5f, 0.25f);
-  unsigned index = 0;
-  for (const compute_mode mode :
-       {compute_mode::float_to_bf16, compute_mode::float_to_bf16x2,
-        compute_mode::float_to_bf16x3, compute_mode::float_to_tf32}) {
-    for (const transpose ta : kOps) {
-      for (const transpose tb : kOps) {
-        for (const blas_int m : {1, 5, 40}) {
-          for (const blas_int n : {1, 16}) {
-            for (const blas_int k : {7, 257}) {
-              const operands<float> p(ta, tb, m, n, k, index % 2 ? 3 : 0,
-                                      5000 + index);
-              expect_engine_matches_reference<float>(mode, p, alpha, beta);
-              if (HasFatalFailure()) return;
-              ++index;
+  for (const auto isa : available_isas()) {
+    detail::set_kernel_isa(isa);
+    unsigned index = 0;
+    for (const compute_mode mode :
+         {compute_mode::float_to_bf16, compute_mode::float_to_bf16x2,
+          compute_mode::float_to_bf16x3, compute_mode::float_to_tf32}) {
+      for (const transpose ta : kOps) {
+        for (const transpose tb : kOps) {
+          for (const blas_int m : {1, 5, 40}) {
+            for (const blas_int n : {1, 16}) {
+              for (const blas_int k : {7, 257}) {
+                const operands<float> p(ta, tb, m, n, k, index % 2 ? 3 : 0,
+                                        5000 + index);
+                expect_engine_matches_reference<float>(mode, p, alpha, beta);
+                if (HasFatalFailure()) return;
+                ++index;
+              }
             }
           }
         }
@@ -226,7 +231,7 @@ TEST(ComplexEngine, BlockedPathBitIdenticalSerialAndPooled) {
         }
       }
     }
-    // A split mode on the pool: its four sgemm_split products fork too.
+    // A split mode on the pool: its B pack and items fork too.
     const operands<float> p(transpose::conj_trans, transpose::none, 130, 33,
                             600, 2, 9000);
     expect_engine_matches_reference<float>(compute_mode::float_to_bf16x2, p,
@@ -276,8 +281,16 @@ void check_blas_semantics() {
   using C = std::complex<R>;
   const R nan = std::numeric_limits<R>::quiet_NaN();
   const blas_int m = 5, n = 3, k = 7;
-  for (const compute_mode mode :
-       {compute_mode::standard, compute_mode::complex_3m}) {
+  std::vector<compute_mode> modes{compute_mode::standard,
+                                  compute_mode::complex_3m};
+  if constexpr (std::is_same_v<R, float>) {
+    // CGEMM's split route; ZGEMM runs these modes as standard.
+    modes.insert(modes.end(),
+                 {compute_mode::float_to_bf16, compute_mode::float_to_bf16x2,
+                  compute_mode::float_to_bf16x3, compute_mode::float_to_tf32});
+  }
+  for (const compute_mode mode : modes) {
+    SCOPED_TRACE(name(mode));
     scoped_compute_mode scope(mode);
     const auto a = random_complex<R>(static_cast<std::size_t>(m * k), 41);
     const auto b = random_complex<R>(static_cast<std::size_t>(k * n), 42);
