@@ -55,11 +55,6 @@ struct auto_tune_choice {
   /// Measured componentwise error of `mode` on the calibration operands,
   /// in storage-precision ULPs; 0 when unknown.
   double err_ulp = 0.0;
-  /// Tuned cache blocking (MC/NC) for this shape class; 0 = no tuned
-  /// blocking, use the per-ISA defaults.  Blocking only partitions the
-  /// output sweep, so applying it never changes results bit-for-bit.
-  blas_int block_m = 0;
-  blas_int block_n = 0;
 };
 
 using auto_tune_fn =

@@ -50,18 +50,11 @@ struct gemm_call {
   std::string_view call_site = {};
   /// Per-call compute mode; overrides every other resolution layer.
   std::optional<compute_mode> mode = std::nullopt;
-  /// Explicit cache-blocking override (MC/NC rows/cols of C per block);
-  /// 0 = resolve normally (tuned wisdom, else per-ISA defaults).  Values
-  /// are legalized to the active tile quanta.  MC/NC only partition the
-  /// output sweep — any legal override is bit-identical to the default —
-  /// so this is a performance knob, never a numerics knob.  Used by the
-  /// autotuner's blocking probes; available to expert callers.
-  blas_int block_m = 0;
-  blas_int block_n = 0;
   /// Per-call ABFT override, the strongest layer in the ABFT resolution
-  /// order (call > policy rule's abft= flag > DCMESH_ABFT).  Used by the
-  /// autotuner's overhead probes and by tests; ignored for complex types,
-  /// where the checksum path is not implemented.
+  /// order (call > policy rule's abft= flag > DCMESH_ABFT).  The
+  /// autotuner's calibration GEMMs set it to off, and tests pin it;
+  /// ignored for complex types, where the checksum path is not
+  /// implemented.
   std::optional<resil::abft_mode> abft = std::nullopt;
 };
 

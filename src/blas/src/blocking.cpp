@@ -10,8 +10,8 @@ thread_local bool t_override_active = false;
 
 [[nodiscard]] blas_int round_to_quantum(blas_int value, blas_int quantum,
                                         blas_int max) noexcept {
-  // Round to the NEAREST multiple (ties up) so a tuned value round-trips
-  // through legalization unchanged and a probe grid stays monotone.
+  // Round to the NEAREST multiple (ties up) so a legal value round-trips
+  // through legalization unchanged.
   const blas_int units =
       std::max<blas_int>(1, (value + quantum / 2) / quantum);
   return std::min<blas_int>(units * quantum, (max / quantum) * quantum);

@@ -1,23 +1,20 @@
 #pragma once
-// blocking.hpp — runtime MC/NC cache-blocking resolution (internal).
+// blocking.hpp — MC/NC cache-blocking resolution (internal).
 //
-// The blocked core's Goto blocking used to be three compile-time
-// constants; MC and NC are now per-call runtime values so the autotuner
-// can persist per-shape winners in the wisdom store.  KC stays the
-// compile-time kBlockK constant: it partitions the accumulation and is
-// part of the golden-trajectory numerical contract, while MC/NC only
-// partition the *output* — every C element's accumulation chain is
-// identical under any legal MC/NC, which is what makes retuned
-// blockings bit-identical (locked by test) and therefore safe to apply
-// from a cache without revalidating numerics.
+// KC is the compile-time kBlockK constant: it partitions the accumulation
+// and is part of the golden-trajectory numerical contract.  MC and NC
+// only partition the *output* — every C element's accumulation chain is
+// identical under any legal MC/NC — so they are free: each call takes
+// the kernel tier's default and blocking_for_team narrows MC for the
+// team, without changing a bit.
 //
 // Legal blockings are multiples of the per-tier tile quanta (the lcm of
 // every element type's MR for rows, NR for columns) so interior blocks
-// keep each type's packed strips exactly full.  The per-call override is
-// thread-local and scoped: the dispatcher installs the planned blocking
-// around the whole guarded run so re-runs and health-scan repeats see
-// the same partition, and resolves it ONCE on the calling thread —
-// worker-team threads never consult it.
+// keep each type's packed strips exactly full.  scoped_blocking installs
+// a thread-local override of the default; it is the seam through which
+// tests pin MC/NC and check that any legal blocking gives the same bits.
+// Engines resolve the blocking once, on the calling thread; worker-team
+// threads never consult the override.
 
 #include <optional>
 

@@ -51,14 +51,6 @@ struct call_plan {
   mode_resolution res;
   /// != none exactly when an AUTO rule chose res.mode.
   auto_provenance tune = auto_provenance::none;
-  /// Cache blocking for the whole planned execution (0 = per-ISA
-  /// default): an explicit gemm_call override wins, else the tuner's
-  /// per-shape wisdom.  Installed as a scoped override around
-  /// run_planned so guard and health re-runs block identically —
-  /// harmless for correctness (blocking is bit-neutral), but it keeps
-  /// timings comparable.
-  blas_int block_m = 0;
-  blas_int block_n = 0;
   /// Resolved ABFT checksum-guard mode (per-call override > policy rule's
   /// abft= flag > DCMESH_ABFT process default).  Applied by run_planned
   /// for real element types; complex falls back to off.

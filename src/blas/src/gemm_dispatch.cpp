@@ -542,8 +542,6 @@ call_plan plan_call(const gemm_call<T>& call) {
     if (choice) {
       plan.res.mode = choice->mode;
       plan.tune = choice->provenance;
-      plan.block_m = choice->block_m;
-      plan.block_n = choice->block_n;
     } else {
       plan.res.mode = compute_mode::standard;
       plan.tune = auto_provenance::defaulted;
@@ -558,12 +556,6 @@ call_plan plan_call(const gemm_call<T>& call) {
   for (int level = 0; level < promote; ++level) {
     plan.res.mode = next_higher_mode(plan.res.mode);
   }
-  // An explicit per-call blocking beats the tuner's (the autotuner's own
-  // blocking probes rely on this to time candidate blockings).
-  if (call.block_m > 0 || call.block_n > 0) {
-    plan.block_m = call.block_m;
-    plan.block_n = call.block_n;
-  }
   return plan;
 }
 
@@ -576,9 +568,6 @@ call_record run_planned(const gemm_call<T>& call, const call_plan& plan) {
                      /*needs_ab=*/call.alpha != T(0));
   const mode_resolution& res = plan.res;
   const compute_mode requested = effective_mode<T>(res.mode);
-  // Scoped for the whole execution so every re-run resolves the same
-  // blocking as the primary run.  {0,0} is a no-op scope.
-  const scoped_blocking blocking_scope(plan.block_m, plan.block_n);
 
   // ---- 2. arm the tiers.
   const bool dims_ok = call.m > 0 && call.n > 0;

@@ -30,8 +30,8 @@ namespace dcmesh::blas::detail {
 /// in pc-ascending order — so it is part of the golden-trajectory
 /// numerical contract and stays a compile-time constant.  MC and NC only
 /// partition the *output*: any legal choice yields bit-identical C, so
-/// they are runtime values resolved per call through blocking.hpp
-/// (tier defaults, or a tuned override planned by the dispatcher).
+/// they are resolved per call through blocking.hpp (the tier default,
+/// narrowed for the team).
 inline constexpr blas_int kBlockK = 256;
 
 /// Parallel-pack crossover, per ISA tier (measured Release,
@@ -190,8 +190,8 @@ void gemm_blocked_accumulate(transpose transa, transpose transb, blas_int m,
   if (m == 0 || n == 0 || k == 0 || alpha == T(0)) return;
 
   // Resolved ONCE, on the calling thread: kernel + tile shape from the
-  // active ISA, MC/NC from the scoped override (the dispatcher's planned
-  // blocking) or the tier default, narrowed for the team.
+  // active ISA, MC/NC from the tier default (or a test's scoped
+  // override), narrowed for the team.
   const kernel_desc<T> desc = select_kernel_desc<T>();
   const int mr = desc.mr;
   const int nr = desc.nr;

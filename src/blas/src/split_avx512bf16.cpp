@@ -21,7 +21,7 @@
 // them; both land well inside the bf16 ULP bound the tests use.
 //
 // Tile geometry matches the avx512 fp32 tier (14 x 32) so the MC/NC
-// blocking quanta and tuned blockings apply unchanged.
+// blocking quanta apply unchanged.
 
 #if defined(DCMESH_HAVE_AVX512BF16_KERNELS)
 

@@ -19,20 +19,7 @@
 
 namespace dcmesh::core {
 
-/// Serialize the checkpoint payload (config deck, ionic state, engine
-/// propagation state) WITHOUT the v2 framing.  This is the part that must
-/// read the live simulation state, so it runs synchronously on the
-/// driver's thread; the framing (seal_checkpoint) is pure on the payload
-/// bytes and may run on a pool worker, off the step critical path.
-[[nodiscard]] std::string serialize_checkpoint_payload(const driver& sim);
-
-/// Frame a payload into a complete v2 checkpoint blob: magic, version,
-/// size, FNV-1a-64 checksum, then the payload.  Pure function of the
-/// bytes — safe to call from any thread.
-[[nodiscard]] std::string seal_checkpoint(const std::string& payload);
-
-/// Write a checkpoint of `sim` to a binary stream
-/// (serialize_checkpoint_payload + seal_checkpoint, synchronously).
+/// Write a checkpoint of `sim` to a binary stream.
 void save_checkpoint(const driver& sim, std::ostream& os);
 
 /// Write a checkpoint to a file; throws std::runtime_error on I/O failure.

@@ -21,7 +21,6 @@
 #include "dcmesh/qxmd/shadow.hpp"
 #include "dcmesh/qxmd/verlet.hpp"
 #include "dcmesh/resil/checkpoint_ring.hpp"
-#include "dcmesh/sched/pool.hpp"
 #include "dcmesh/trace/unitrace.hpp"
 
 namespace dcmesh::core {
@@ -125,10 +124,6 @@ class driver {
   /// first: no in-flight task may touch engine state across a restore.
   void rollback_to_ring();
 
-  /// Join the double-buffered checkpoint sealer, if one is in flight.
-  /// Must run before any ring_ access and before run_series returns.
-  void wait_pending_checkpoint();
-
   run_config config_;
   mesh::grid3d grid_;
   qxmd::atom_system atoms_;
@@ -142,11 +137,6 @@ class driver {
       engine_;
   std::vector<lfd::qd_record> records_;
   resil::checkpoint_ring ring_{4};  ///< Rollback targets (newest wins).
-  /// Double-buffered checkpoint sealer: under DCMESH_SCHED=pool the
-  /// checksum/framing of the series checkpoint runs as a pool job
-  /// overlapped with the series' QD steps; every ring_ access joins it
-  /// first (a default-constructed job is already done).
-  sched::job pending_checkpoint_;
   resilience_stats resil_stats_;
   std::uint64_t series_index_ = 0;  ///< Completed series (ring labels).
 };

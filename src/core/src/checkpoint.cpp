@@ -114,30 +114,19 @@ std::string read_verified_payload(std::istream& is) {
 
 }  // namespace
 
-std::string serialize_checkpoint_payload(const driver& sim) {
+void save_checkpoint(const driver& sim, std::ostream& os) {
   // Serialize into a buffer first: the checksum covers the whole payload.
   std::ostringstream payload_os(std::ios::binary);
   write_string(payload_os, to_deck(sim.config()));
   write_atoms(payload_os, sim.atoms());
   sim.save_propagation_state(payload_os);
   if (!payload_os) throw std::runtime_error("checkpoint: serialize failed");
-  return std::move(payload_os).str();
-}
-
-std::string seal_checkpoint(const std::string& payload) {
-  std::ostringstream os(std::ios::binary);
+  const std::string payload = std::move(payload_os).str();
   write_pod(os, kCheckpointMagic);
   write_pod(os, kVersion);
   write_pod(os, static_cast<std::uint64_t>(payload.size()));
   write_pod(os, fnv1a(payload));
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!os) throw std::runtime_error("checkpoint: seal failed");
-  return std::move(os).str();
-}
-
-void save_checkpoint(const driver& sim, std::ostream& os) {
-  const std::string blob = seal_checkpoint(serialize_checkpoint_payload(sim));
-  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   if (!os) throw std::runtime_error("checkpoint: write failed");
 }
 

@@ -158,25 +158,10 @@ series_report driver::run_series() {
 
   // Resilient path: checkpoint, run, verify invariants; on violation
   // roll back, promote the LFD sites' precision, replay.
-  //
-  // Double buffering: reading the live state (serialize) must happen
-  // before the first QD step mutates it, but the checksum + framing
-  // (seal) is a pure function of the payload bytes — under
-  // DCMESH_SCHED=pool it runs as a pool job overlapped with the series'
-  // QD steps.  Every path that touches ring_ joins the job first.
   {
-    wait_pending_checkpoint();
-    std::string payload = serialize_checkpoint_payload(*this);
-    const std::uint64_t label = series_index_;
-    const std::uint64_t aux = records_.size();
-    if (sched::thread_pool* pool = sched::active_pool()) {
-      pending_checkpoint_ =
-          pool->submit([this, label, aux, payload = std::move(payload)] {
-            ring_.push(label, aux, seal_checkpoint(payload));
-          });
-    } else {
-      ring_.push(label, aux, seal_checkpoint(payload));
-    }
+    std::ostringstream blob(std::ios::binary);
+    save_checkpoint(*this, blob);
+    ring_.push(series_index_, records_.size(), std::move(blob).str());
     ++resil_stats_.checkpoints;
   }
   const std::size_t series_start = records_.size();
@@ -187,16 +172,13 @@ series_report driver::run_series() {
       report.replays = attempt;
       ++series_index_;
       // Healthy series: age the promotion ledger so a promoted site
-      // eventually re-tries its fast mode.  Join the sealer before
-      // returning — nothing of this series may outlive run_series.
+      // eventually re-tries its fast mode.
       resil::tick_promotions();
-      wait_pending_checkpoint();
       return report;
     }
     ++resil_stats_.violations;
     resil_stats_.last_violation = violation;
     if (attempt >= kMaxReplays) {
-      wait_pending_checkpoint();
       throw std::runtime_error(
           "driver: series " + std::to_string(series_index_) +
           " failed step invariants after " + std::to_string(attempt) +
@@ -291,18 +273,9 @@ std::string driver::check_series_health(std::size_t series_start_record) {
   return {};
 }
 
-void driver::wait_pending_checkpoint() {
-  if (pending_checkpoint_.valid()) {
-    pending_checkpoint_.wait();
-    pending_checkpoint_ = sched::job{};
-  }
-}
-
 void driver::rollback_to_ring() {
-  // The sealer must have pushed before we read the ring, and no other
-  // in-flight task (stray step graph stub) may touch engine
-  // state across the restore — quiesce the pool to a hard barrier.
-  wait_pending_checkpoint();
+  // No in-flight task (stray step graph stub) may touch engine state
+  // across the restore — quiesce the pool to a hard barrier.
   sched::quiesce_active_pool();
   const resil::ring_slot* slot = ring_.latest();
   if (slot == nullptr) {

@@ -54,11 +54,15 @@ void hamiltonian<R>::apply_columns(part which,
                                    const_matrix_view<std::complex<R>> psi,
                                    matrix_view<std::complex<R>> out) const {
   // Columns are independent, so they run on the scheduler's worker team.
+  // The team body captures one reference, so it fits std::function's
+  // inline buffer and an apply allocates nothing.
   const std::size_t ngrid = psi.rows;
-  sched::team_parallel_for(static_cast<long>(psi.cols), [&](long j) {
+  const auto column = [&](long j) {
     const auto col = static_cast<std::size_t>(j);
     apply_column(which, {psi.col(col), ngrid}, {out.col(col), ngrid});
-  });
+  };
+  sched::team_parallel_for(static_cast<long>(psi.cols),
+                           [&column](long j) { column(j); });
 }
 
 template <typename R>

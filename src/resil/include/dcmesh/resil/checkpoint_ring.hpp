@@ -9,11 +9,8 @@
 // integer labels — so resil does not depend on core (blas sits between
 // them in the link order).
 //
-// The ring itself is NOT internally synchronized.  Under DCMESH_SCHED=pool
-// the driver's checkpoint sealer pushes from a pool worker while the
-// series runs; the driver guarantees exclusivity by joining that one
-// in-flight job (and quiescing the pool on rollback) before any other
-// ring access — a single asynchronous producer, never two.
+// The ring itself is NOT internally synchronized: the driver pushes and
+// restores on its own thread, and quiesces the pool before a restore.
 
 #include <cstddef>
 #include <cstdint>

@@ -19,7 +19,7 @@
 //    so a sweep never waits on one.  Outputs are keyed by index, so
 //    results are bit-identical no matter which thread runs which share.
 //  - submit(fn) -> job: fire-and-forget with a waitable handle (used by
-//    the driver's double-buffered checkpoint sealer).
+//    the task graph's pooled executor).
 //
 // quiesce() blocks until every submitted task has retired — the rollback /
 // replay quiescence point for the resilience subsystem.

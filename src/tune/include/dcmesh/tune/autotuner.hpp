@@ -27,9 +27,8 @@
 // resolves to COMPLEX_3M: the roofline prices it below STANDARD and the
 // BF16 splits at those shapes.
 //
-// The one host-timed decision is the cache blocking (MC/NC) of big real
-// FP32 keys: blocking only partitions the output sweep and cannot change
-// a result bit, so host time is the right judge for it.
+// A decision is a mode and nothing else: the engines take MC/NC from the
+// kernel tier's blocking and the team partition, as for any other call.
 //
 // The store is safe under N concurrent worker processes (the campaign
 // farm): a cache miss takes the store's advisory flock, re-reads the
@@ -109,9 +108,6 @@ struct tuner_stats {
   std::uint64_t shared_hits = 0;     ///< Misses resolved under the store
                                      ///< lock by a sibling's fresh entry
                                      ///< (counted in cache_hits too).
-  std::uint64_t blocking_probes = 0; ///< Keys whose MC/NC blocking was
-                                     ///< measured (cold, big real FP32
-                                     ///< keys only; warm stores stay at 0).
 };
 
 /// An online autotuner with an in-memory decision cache fronting an

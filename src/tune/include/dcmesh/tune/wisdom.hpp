@@ -78,18 +78,6 @@ struct wisdom_entry {
   double ulp_budget = 0.0;  ///< Error budget the decision was made under.
   std::string mode_token;   ///< Chosen mode (MKL_BLAS_COMPUTE_MODE token).
   double err_ulp = 0.0;     ///< Measured componentwise error, storage ULPs.
-  /// Tuned cache blocking (MC/NC) for this shape class, measured by the
-  /// autotuner's blocking probe; 0 = never probed (per-ISA defaults
-  /// apply).  Blocking only partitions the output sweep, so serving a
-  /// tuned blocking can never change results — which is why these fields
-  /// are FILL-ONLY under merge_wisdom: a probe result fills an absent
-  /// blocking but a mode-only rewrite never erases one.  block_isa names
-  /// the kernel tier the probe timed ("avx512"/"avx2"/"scalar"); a
-  /// consumer on a different active tier ignores the blocking (the tile
-  /// quanta differ).
-  std::int64_t block_m = 0;
-  std::int64_t block_n = 0;
-  std::string block_isa;
   /// Store generation this entry was written at.  0 = never published
   /// (a fresh in-memory decision); merge_wisdom stamps the file value.
   std::uint64_t generation = 0;

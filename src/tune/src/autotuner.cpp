@@ -1,7 +1,6 @@
 #include "dcmesh/tune/autotuner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -15,12 +14,6 @@
 #include "dcmesh/common/rng.hpp"
 #include "dcmesh/xehpc/roofline.hpp"
 
-// Engine-private headers (tune's CMakeLists adds src/blas/src): the
-// blocking probe times candidate MC/NC blockings against the active
-// kernel tier's quanta.
-#include "blocking.hpp"
-#include "kernel_isa.hpp"
-
 namespace dcmesh::tune {
 namespace {
 
@@ -28,33 +21,10 @@ using blas::blas_int;
 using blas::compute_mode;
 
 /// Calibration operands are clamped to these dimensions: big enough that
-/// blocking/split overheads show, small enough that the FP64 reference
-/// triple loop stays in the tens of milliseconds.
+/// the split modes' accumulated error shows, small enough that the FP64
+/// reference triple loop stays in the tens of milliseconds.
 constexpr blas_int kMaxCalibMN = 96;
 constexpr blas_int kMaxCalibK = 768;
-
-/// Target wall time per timed blocking candidate; repetitions are scaled
-/// to reach it.
-constexpr double kTimingTargetSeconds = 1e-3;
-constexpr int kMaxTimingReps = 16;
-
-/// Blocking probes use larger operands than mode calibration (blocking
-/// effects only show once several MC/NC blocks are in play) but skip the
-/// FP64 reference entirely — blocking cannot change results, so there is
-/// nothing to error-measure.
-constexpr blas_int kMaxProbeM = 512;
-constexpr blas_int kMaxProbeN = 1024;
-constexpr blas_int kMaxProbeK = 512;
-
-/// Below this nominal flop count the per-call blocking is noise; don't
-/// spend probe GEMMs (or a wisdom field) on it.  128 x 128 x 512 FP32.
-constexpr double kMinBlockingProbeFlops = 16.0 * 1024.0 * 1024.0;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 template <typename T>
 struct scalar_traits {
@@ -213,95 +183,11 @@ double effective_budget(double request_budget) {
       .value_or(kDefaultUlpBudget);
 }
 
-/// Time candidate MC/NC blockings for the decided mode on real blocked
-/// kernels and record the winner in the entry.  Candidates are halvings/
-/// doublings of the active tier's default, legalized to the tile quanta.
-/// Probe GEMMs run through the ordinary dispatcher under the calibration
-/// site tag with explicit mode + blocking overrides, so they are visible
-/// to verbose/metrics and can never recurse into the tuner.
-void probe_blocking(wisdom_entry& entry,
-                    const blas::auto_tune_request& req, compute_mode mode,
-                    std::uint64_t seed) {
-  namespace bd = blas::detail;
-  const bd::kernel_isa isa = bd::active_kernel_isa();
-  const bd::gemm_blocking def = bd::default_blocking(isa);
-  const blas_int pm = std::clamp<blas_int>(req.m, 1, kMaxProbeM);
-  const blas_int pn = std::clamp<blas_int>(req.n, 1, kMaxProbeN);
-  const blas_int pk = std::clamp<blas_int>(req.k, 1, kMaxProbeK);
-
-  xoshiro256 rng(seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<float> a(static_cast<std::size_t>(pm) * pk);
-  std::vector<float> b(static_cast<std::size_t>(pk) * pn);
-  std::vector<float> c(static_cast<std::size_t>(pm) * pn);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-
-  std::vector<bd::gemm_blocking> candidates;
-  for (const blas_int mc : {def.mc / 2, def.mc, def.mc * 2}) {
-    for (const blas_int nc : {def.nc / 2, def.nc, def.nc * 2}) {
-      const bd::gemm_blocking cand = bd::legalize_blocking(isa, mc, nc);
-      if (std::find(candidates.begin(), candidates.end(), cand) ==
-          candidates.end()) {
-        candidates.push_back(cand);
-      }
-    }
-  }
-
-  bd::gemm_blocking best = def;
-  double best_seconds = -1.0;
-  for (const bd::gemm_blocking& cand : candidates) {
-    blas::gemm_call<float> call;
-    call.m = pm;
-    call.n = pn;
-    call.k = pk;
-    call.a = a.data();
-    call.lda = pm;
-    call.b = b.data();
-    call.ldb = pk;
-    call.c = c.data();
-    call.ldc = pm;
-    call.call_site = kCalibrationSite;
-    call.mode = mode;
-    call.abft = resil::abft_mode::off;
-    call.block_m = cand.mc;
-    call.block_n = cand.nc;
-
-    // Warm run (packs the arena at this blocking), then a timed batch.
-    const double probe_start = now_seconds();
-    blas::run(call);
-    const double probe = std::max(now_seconds() - probe_start, 1e-9);
-    const int reps = std::clamp(
-        static_cast<int>(kTimingTargetSeconds / probe), 1, kMaxTimingReps);
-    const double start = now_seconds();
-    for (int r = 0; r < reps; ++r) blas::run(call);
-    const double seconds =
-        std::max(now_seconds() - start, 1e-9) / reps;
-    if (best_seconds < 0.0 || seconds < best_seconds) {
-      best_seconds = seconds;
-      best = cand;
-    }
-  }
-
-  entry.block_m = best.mc;
-  entry.block_n = best.nc;
-  entry.block_isa = std::string(bd::kernel_isa_name(isa));
-}
-
 blas::auto_tune_choice make_choice(const wisdom_entry& entry,
                                    blas::auto_provenance provenance) {
   const auto mode = blas::parse_compute_mode(entry.mode_token);
-  blas::auto_tune_choice choice{mode.value_or(compute_mode::standard),
-                                provenance, entry.err_ulp};
-  // Serve the tuned blocking only on the tier it was measured for: the
-  // quanta (and the cache economics) differ across tiers, and a mismatch
-  // would be legalized into something never measured.
-  if (entry.block_m > 0 &&
-      entry.block_isa ==
-          blas::detail::kernel_isa_name(blas::detail::active_kernel_isa())) {
-    choice.block_m = static_cast<blas_int>(entry.block_m);
-    choice.block_n = static_cast<blas_int>(entry.block_n);
-  }
-  return choice;
+  return {mode.value_or(compute_mode::standard), provenance,
+          entry.err_ulp};
 }
 
 }  // namespace
@@ -470,20 +356,6 @@ blas::auto_tune_choice autotuner::decide(state& s,
   entry.mode_token = std::string(blas::info(best->mode).env_token);
   entry.err_ulp = best->err_ulp;
   ++s.stats.calibrations;
-
-  // Cold-path blocking probe: measure per-shape MC/NC for real FP32 GEMMs
-  // big enough for blocking to matter, still inside the store lock so the
-  // whole fleet probes each key at most once.  Blocking never changes
-  // results, so host time is the right judge here.  Cached entries carry
-  // their blocking, so warm stores never re-enter this (blocking_probes
-  // == 0).
-  const double nominal_flops = 2.0 * double(req.m) * double(req.n) *
-                               double(req.k);
-  if (!req.is_complex && !req.is_fp64 &&
-      nominal_flops >= kMinBlockingProbeFlops) {
-    probe_blocking(entry, req, best->mode, seed);
-    ++s.stats.blocking_probes;
-  }
 
   s.decisions.emplace(key, entry);
   s.log.push_back({key, entry, std::move(measurements)});

@@ -78,16 +78,6 @@ std::string wisdom_entry::to_json() const {
   out += mode_token;
   std::snprintf(buffer, sizeof(buffer), "\",\"err_ulp\":%.9g", err_ulp);
   out += buffer;
-  // Optional fields (absent = "not set"), mirroring the "gen" pattern.
-  if (block_m > 0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\"block_m\":%lld,\"block_n\":%lld,\"block_isa\":\"",
-                  static_cast<long long>(block_m),
-                  static_cast<long long>(block_n));
-    out += buffer;
-    trace::append_json_escaped(out, block_isa);
-    out += '"';
-  }
   if (generation > 0) {
     std::snprintf(buffer, sizeof(buffer), ",\"gen\":%llu",
                   static_cast<unsigned long long>(generation));
@@ -132,14 +122,8 @@ std::optional<wisdom_entry> parse_wisdom_line(std::string_view line) {
   entry.ulp_budget = *budget;
   entry.mode_token = *mode;
   entry.err_ulp = *err;
-  // Optional blocking fields; absent reads as "no tuned blocking".
-  const auto block_m = json_number_field(line, "block_m");
-  const auto block_n = json_number_field(line, "block_n");
-  if (block_m && block_n && *block_m > 0 && *block_n > 0) {
-    entry.block_m = static_cast<std::int64_t>(*block_m);
-    entry.block_n = static_cast<std::int64_t>(*block_n);
-    entry.block_isa = json_string_field(line, "block_isa").value_or("");
-  }
+  // Fields this parser does not name (the MC/NC blocking earlier writers
+  // of this format added, say) are ignored.
   // An absent "gen" (a hand-written line) reads as generation 0, which
   // merges exactly like a fresh in-memory decision.
   if (const auto gen = json_number_field(line, "gen"); gen && *gen > 0) {
@@ -256,33 +240,13 @@ merge_result merge_wisdom(const std::string& path,
     } else if (in_entry.generation > 0 &&
                in_entry.generation >= existing->generation) {
       // The writer had observed the published entry (its generation is
-      // from a real load) and overrides it: last writer wins — except
-      // the blocking fields, which are fill-only: a mode rewrite that
-      // never probed blocking must not erase a sibling's probe result.
-      const std::int64_t kept_block_m = existing->block_m;
-      const std::int64_t kept_block_n = existing->block_n;
-      std::string kept_block_isa = std::move(existing->block_isa);
+      // from a real load) and overrides it: last writer wins.
       *existing = in_entry;
-      if (existing->block_m == 0 && kept_block_m > 0) {
-        existing->block_m = kept_block_m;
-        existing->block_n = kept_block_n;
-        existing->block_isa = std::move(kept_block_isa);
-      }
       existing->generation = next_gen;
       ++result.added;
       changed = true;
     } else {
-      // A sibling published this key first; converge on its decision —
-      // but still fill an absent blocking from our probe (fill-only in
-      // the other direction: the sibling's mode decision stands, our
-      // blocking measurement is information it never had).
-      if (existing->block_m == 0 && in_entry.block_m > 0) {
-        existing->block_m = in_entry.block_m;
-        existing->block_n = in_entry.block_n;
-        existing->block_isa = in_entry.block_isa;
-        existing->generation = next_gen;
-        changed = true;
-      }
+      // A sibling published this key first; converge on its decision.
       ++result.kept;
     }
   }

@@ -1,5 +1,6 @@
 #pragma once
-// heap_counter.hpp — counts every C++ heap allocation in test_blas.
+// heap_counter.hpp — counts every C++ heap allocation in the test binary
+// that links heap_counter.cpp (test_blas, test_lfd).
 //
 // heap_counter.cpp replaces the global operator new family with
 // counting versions over malloc/posix_memalign, so a test can assert

@@ -354,8 +354,8 @@ TEST(Bf16Native, MatchesSoftwareSplitWithinUlpBound) {
 // ---------------------------------------------------------------------------
 // Cache-blocking identity: MC/NC partition only the OUTPUT, so every legal
 // blocking must reproduce the default bit-for-bit.  This is the invariant
-// that makes autotuned blockings safe to apply from the wisdom store
-// without renumbering golden trajectories.
+// that lets the team partition narrow MC without renumbering golden
+// trajectories.
 
 TEST(Blocking, AnyLegalBlockingIsBitIdentical) {
   isa_guard guard;

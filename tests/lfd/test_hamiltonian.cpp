@@ -7,7 +7,9 @@
 #include <cmath>
 #include <vector>
 
+#include "../blas/heap_counter.hpp"
 #include "dcmesh/common/rng.hpp"
+#include "dcmesh/sched/config.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -125,6 +127,24 @@ TEST(Hamiltonian, SetPotentialValidatesAndUpdates) {
                std::invalid_argument);
   h.set_potential(std::vector<double>(64, -2.0));
   EXPECT_EQ(h.potential()[0], -2.0);
+}
+
+// The step applies H every QD step: once warm, an apply makes no heap
+// allocation on a serial or a pooled team.
+TEST(Hamiltonian, WarmApplyKineticAllocatesNothing) {
+  const mesh::grid3d grid = mesh::grid3d::cubic(8, 1.0);
+  const auto h = make_h(grid, 0.2);
+  const std::size_t n = static_cast<std::size_t>(grid.size());
+  const auto psi = random_state(n, 6, 5);
+  matrix<C> out(n, 6);
+  for (const int threads : {1, 3}) {
+    sched::set_thread_count(threads);
+    h.apply_kinetic(psi.view(), out.view());  // warm the team
+    const std::uint64_t before = test::heap_allocations();
+    h.apply_kinetic(psi.view(), out.view());
+    EXPECT_EQ(test::heap_allocations() - before, 0u) << threads << " threads";
+  }
+  sched::set_thread_count(0);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcmesh/blas/gemm_call.hpp"
@@ -108,38 +110,6 @@ TEST_F(AutotuneTest, WisdomLineRoundTrips) {
   EXPECT_EQ(parsed->mode_token, entry.mode_token);
   EXPECT_DOUBLE_EQ(parsed->err_ulp, entry.err_ulp);
   EXPECT_EQ(parsed->key(), entry.key());
-}
-
-TEST_F(AutotuneTest, WisdomBlockingFieldsRoundTrip) {
-  wisdom_entry entry;
-  entry.routine = "SGEMM";
-  entry.site = "t/blk";
-  entry.cls = classify_shape(128, 128, 512);
-  entry.ulp_budget = 1024.0;
-  entry.mode_token = "FLOAT_TO_BF16X2";
-  entry.block_m = 224;
-  entry.block_n = 1024;
-  entry.block_isa = "avx512";
-
-  const std::string json = entry.to_json();
-  EXPECT_NE(json.find("\"block_m\":224"), std::string::npos);
-  const auto parsed = parse_wisdom_line(json);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->block_m, 224);
-  EXPECT_EQ(parsed->block_n, 1024);
-  EXPECT_EQ(parsed->block_isa, "avx512");
-
-  // An unprobed entry emits NO blocking fields and reads back as
-  // unprobed.
-  entry.block_m = 0;
-  entry.block_n = 0;
-  entry.block_isa.clear();
-  const std::string bare = entry.to_json();
-  EXPECT_EQ(bare.find("block_m"), std::string::npos);
-  const auto reparsed = parse_wisdom_line(bare);
-  ASSERT_TRUE(reparsed.has_value());
-  EXPECT_EQ(reparsed->block_m, 0);
-  EXPECT_TRUE(reparsed->block_isa.empty());
 }
 
 TEST_F(AutotuneTest, HeaderValidatesFormatAndKernelVersion) {
@@ -324,49 +294,73 @@ TEST_F(AutotuneTest, RequestBudgetOverridesDefaultAndKeysTheDecision) {
   EXPECT_EQ(tuner.decisions().size(), 2u);
 }
 
-TEST_F(AutotuneTest, BlockingProbedColdOnceThenServedWarm) {
-  const std::string path = temp_path("wisdom_blocking.jsonl");
-  std::remove(path.c_str());
-
-  // 2*128*128*512 = 16.8 Mflop: big enough to time AND to probe MC/NC.
-  autotuner cold{path};
-  const auto first = cold.resolve(sgemm_request("t/blk", 128, 128, 512));
-  EXPECT_EQ(first.provenance, blas::auto_provenance::modeled);
-  EXPECT_EQ(cold.stats().blocking_probes, 1u);
-  // The probed winner reaches both the decision cache and the caller.
-  const auto decisions = cold.decisions();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_GT(decisions[0].block_m, 0);
-  EXPECT_GT(decisions[0].block_n, 0);
-  EXPECT_FALSE(decisions[0].block_isa.empty());
-  EXPECT_GT(first.block_m, 0);
-  EXPECT_GT(first.block_n, 0);
-
-  // A fresh instance on the same store: the key is served warm with ZERO
-  // calibration GEMMs and ZERO blocking probes.
-  trace::clear_gemm_metrics();
-  autotuner warm{path};
-  const auto second = warm.resolve(sgemm_request("t/blk", 128, 128, 512));
-  EXPECT_EQ(second.provenance, blas::auto_provenance::cached);
-  EXPECT_EQ(warm.stats().blocking_probes, 0u);
-  EXPECT_EQ(trace::gemm_metrics_for(kCalibrationSite).calls, 0u);
-  EXPECT_EQ(second.block_m, first.block_m);
-  EXPECT_EQ(second.block_n, first.block_n);
-  std::remove(path.c_str());
+// A decision is a mode and nothing else: a cold key costs one
+// calibration GEMM per eligible mode at any shape, 16 Mflop included.
+TEST_F(AutotuneTest, ColdKeyRunsOneCalibrationGemmPerEligibleMode) {
+  autotuner tuner{std::string{}};
+  (void)tuner.resolve(sgemm_request("t/big", 128, 128, 512));
+  ASSERT_EQ(tuner.calibration_log().size(), 1u);
+  EXPECT_EQ(tuner.calibration_log()[0].measurements.size(), 5u);
+  EXPECT_EQ(trace::gemm_metrics_for(kCalibrationSite).calls, 5u);
 }
 
-TEST_F(AutotuneTest, SmallShapesNeverProbeBlocking) {
-  autotuner tuner{std::string{}};
-  // Below the blocking-probe floor: the mode is decided, the blocking
-  // stays at the per-ISA default.
-  (void)tuner.resolve(sgemm_request("t/sm", 64, 64, 64));
-  // A tiny shape: no probe either.
-  (void)tuner.resolve(sgemm_request("t/tiny", 8, 8, 8));
-  EXPECT_EQ(tuner.stats().blocking_probes, 0u);
-  for (const auto& d : tuner.decisions()) {
-    EXPECT_EQ(d.block_m, 0) << d.site;
-    EXPECT_TRUE(d.block_isa.empty()) << d.site;
+// Nothing host-timed reaches the store: two cold tuners write the same
+// bytes, and the line holds the mode decision's fields alone.
+TEST_F(AutotuneTest, ColdTunersWriteByteIdenticalWisdom) {
+  const auto cold_store = [&](const char* name) {
+    const std::string path = temp_path(name);
+    std::remove(path.c_str());
+    autotuner tuner{path};
+    (void)tuner.resolve(sgemm_request("t/big", 128, 128, 512));
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return std::make_pair(text, tuner.decisions());
+  };
+  const auto [first, decisions] = cold_store("wisdom_cold_a.jsonl");
+  EXPECT_EQ(first, cold_store("wisdom_cold_b.jsonl").first);
+
+  ASSERT_EQ(decisions.size(), 1u);
+  wisdom_entry expected;
+  expected.routine = "SGEMM";
+  expected.site = "t/big";
+  expected.cls = classify_shape(128, 128, 512);
+  expected.ulp_budget = kDefaultUlpBudget;
+  expected.mode_token = decisions[0].mode_token;
+  expected.err_ulp = decisions[0].err_ulp;
+  expected.generation = 1;
+  EXPECT_EQ(first, wisdom_header(1) + "\n" + expected.to_json() + "\n");
+}
+
+// A format-3 line that still carries the MC/NC blocking fields earlier
+// builds wrote loads and is served cached; the next rewrite drops them.
+TEST_F(AutotuneTest, StoredLineWithBlockingFieldsLoadsAndServesCached) {
+  const std::string path = temp_path("wisdom_blocking_line.jsonl");
+  const std::string cls = classify_shape(128, 128, 512).to_string();
+  {
+    std::ofstream os(path, std::ios::trunc);
+    os << wisdom_header(1) << '\n'
+       << "{\"routine\":\"SGEMM\",\"site\":\"t/big\",\"class\":\"" << cls
+       << "\",\"ulp_budget\":1024,\"mode\":\"FLOAT_TO_BF16X2\","
+          "\"err_ulp\":12.5,\"block_m\":144,\"block_n\":1024,"
+          "\"block_isa\":\"scalar\",\"gen\":1}\n";
   }
+  autotuner tuner{path};
+  const auto choice = tuner.resolve(sgemm_request("t/big", 128, 128, 512));
+  EXPECT_EQ(choice.provenance, blas::auto_provenance::cached);
+  EXPECT_EQ(choice.mode, blas::compute_mode::float_to_bf16x2);
+  EXPECT_DOUBLE_EQ(choice.err_ulp, 12.5);
+  EXPECT_EQ(tuner.stats().calibrations, 0u);
+  EXPECT_EQ(trace::gemm_metrics_for(kCalibrationSite).calls, 0u);
+
+  ASSERT_TRUE(tuner.flush());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text.find("block_"), std::string::npos) << text;
+  EXPECT_NE(text.find("FLOAT_TO_BF16X2"), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- wisdom persistence ---

@@ -123,51 +123,6 @@ TEST_F(WisdomStoreTest, RepublishedEntryWinsOverIncumbent) {
   std::remove(path.c_str());
 }
 
-TEST_F(WisdomStoreTest, BlockingFieldsAreFillOnlyUnderMerge) {
-  const std::string path = temp_path("store_blocking.jsonl");
-  std::remove(path.c_str());
-
-  // Publish a probed blocking for key g/a.
-  wisdom_entry probed = entry("g/a", "STANDARD");
-  probed.block_m = 112;
-  probed.block_n = 1024;
-  probed.block_isa = "scalar";
-  ASSERT_TRUE(merge_wisdom(path, {probed}).ok);
-
-  // A sibling republishes the key (mode rewrite, generation observed)
-  // WITHOUT blocking — the stored probe result must survive the rewrite.
-  const auto rewrite = merge_wisdom(path, {entry("g/a", "COMPLEX_3M", 1)});
-  ASSERT_TRUE(rewrite.ok);
-  auto file = load_wisdom(path);
-  ASSERT_EQ(file.entries.size(), 1u);
-  EXPECT_EQ(file.entries[0].mode_token, "COMPLEX_3M");
-  EXPECT_EQ(file.entries[0].block_m, 112);
-  EXPECT_EQ(file.entries[0].block_n, 1024);
-  EXPECT_EQ(file.entries[0].block_isa, "scalar");
-
-  // The other direction: a stored key without blocking gains it from a
-  // gen-0 incoming entry (whose mode loses, first-writer-wins) — the
-  // probe result is folded in instead of thrown away.
-  (void)merge_wisdom(path, {entry("g/b", "STANDARD")});
-  wisdom_entry fill = entry("g/b", "FLOAT_TO_BF16X3");
-  fill.block_m = 72;
-  fill.block_n = 512;
-  fill.block_isa = "scalar";
-  const auto filled = merge_wisdom(path, {fill});
-  ASSERT_TRUE(filled.ok);
-  EXPECT_EQ(filled.kept, 1u);
-  file = load_wisdom(path);
-  ASSERT_EQ(file.entries.size(), 2u);
-  for (const auto& e : file.entries) {
-    if (e.site != "g/b") continue;
-    EXPECT_EQ(e.mode_token, "STANDARD");  // incumbent mode kept
-    EXPECT_EQ(e.block_m, 72);             // blocking filled
-    EXPECT_EQ(e.block_n, 512);
-    EXPECT_EQ(e.block_isa, "scalar");
-  }
-  std::remove(path.c_str());
-}
-
 TEST_F(WisdomStoreTest, PeekGenerationHandlesMissingAndGarbageFiles) {
   EXPECT_FALSE(peek_wisdom_generation("").has_value());
   EXPECT_FALSE(
