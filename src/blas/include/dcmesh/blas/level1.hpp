@@ -31,8 +31,10 @@ void scal_real(blas_int n, R alpha, std::complex<R>* x, blas_int incx);
 template <typename T>
 void copy(blas_int n, const T* x, blas_int incx, T* y, blas_int incy);
 
-/// Euclidean norm, accumulated in double regardless of T's precision
-/// (the numerically safe formulation reference BLAS uses).
+/// Euclidean norm, accumulated in double regardless of T's precision.
+/// Double data uses reference BLAS's scaled accumulation; float data sums
+/// exact double squares in fixed lanes, which needs no scaling and gives
+/// the same bits on every ISA tier and stride.
 template <typename T>
 [[nodiscard]] double nrm2(blas_int n, const T* x, blas_int incx);
 

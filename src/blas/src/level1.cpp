@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 namespace dcmesh::blas {
 namespace {
@@ -19,6 +20,48 @@ double abs1(const T& v) {
     return std::abs(static_cast<double>(v.real())) +
            std::abs(static_cast<double>(v.imag()));
   }
+}
+
+/// Lanes of the single-precision nrm2 sum: float k of x (counting a
+/// complex element's real and imaginary parts as two) adds into lane
+/// k mod kNrm2Lanes.
+constexpr int kNrm2Lanes = 16;
+
+/// ||x|| for float data, `width` floats per element (1 real, 2 complex).
+/// A float squared in double is exact (at most 48 significant bits) and
+/// cannot overflow or underflow, so no scaling is needed.  With exact
+/// squares, a fused multiply-add rounds exactly as the separate add does,
+/// and each lane is one chain in element order: the result is the same
+/// at any vector width, FMA contraction or stride.
+double nrm2_single(blas_int n, const float* x, blas_int incx, int width) {
+  double lane[kNrm2Lanes] = {};
+  if (incx == 1) {
+    const blas_int nf = n * width;
+    blas_int k = 0;
+    for (; k + kNrm2Lanes <= nf; k += kNrm2Lanes) {
+      for (int l = 0; l < kNrm2Lanes; ++l) {
+        const double v = x[k + l];
+        lane[l] += v * v;
+      }
+    }
+    for (int l = 0; k < nf; ++k, ++l) {
+      const double v = x[k];
+      lane[l] += v * v;
+    }
+  } else {
+    int l = 0;
+    for (blas_int i = 0; i < n; ++i) {
+      const float* e = x + i * incx * width;
+      for (int w = 0; w < width; ++w, l = (l + 1) % kNrm2Lanes) {
+        const double v = e[w];
+        lane[l] += v * v;
+      }
+    }
+  }
+  for (int half = kNrm2Lanes / 2; half > 0; half /= 2) {
+    for (int l = 0; l < half; ++l) lane[l] += lane[l + half];
+  }
+  return std::sqrt(lane[0]);
 }
 
 }  // namespace
@@ -71,27 +114,34 @@ double nrm2(blas_int n, const T* x, blas_int incx) {
   if (n <= 0) return 0.0;
   check_inc(incx);
   if (incx < 0) return 0.0;
-  // Scaled accumulation avoids overflow/underflow of the squares.
-  double scale = 0.0, ssq = 1.0;
-  for (blas_int i = 0, ix = 0; i < n; ++i, ix += incx) {
-    const auto accumulate = [&](double v) {
-      if (v == 0.0) return;
-      const double av = std::abs(v);
-      if (scale < av) {
-        ssq = 1.0 + ssq * (scale / av) * (scale / av);
-        scale = av;
+  if constexpr (std::is_same_v<T, float>) {
+    return nrm2_single(n, x, incx, 1);
+  } else if constexpr (std::is_same_v<T, std::complex<float>>) {
+    // std::complex<float> is layout-compatible with float[2].
+    return nrm2_single(n, reinterpret_cast<const float*>(x), incx, 2);
+  } else {
+    // Scaled accumulation avoids overflow/underflow of the squares.
+    double scale = 0.0, ssq = 1.0;
+    for (blas_int i = 0, ix = 0; i < n; ++i, ix += incx) {
+      const auto accumulate = [&](double v) {
+        if (v == 0.0) return;
+        const double av = std::abs(v);
+        if (scale < av) {
+          ssq = 1.0 + ssq * (scale / av) * (scale / av);
+          scale = av;
+        } else {
+          ssq += (av / scale) * (av / scale);
+        }
+      };
+      if constexpr (std::is_floating_point_v<T>) {
+        accumulate(static_cast<double>(x[ix]));
       } else {
-        ssq += (av / scale) * (av / scale);
+        accumulate(static_cast<double>(x[ix].real()));
+        accumulate(static_cast<double>(x[ix].imag()));
       }
-    };
-    if constexpr (std::is_floating_point_v<T>) {
-      accumulate(static_cast<double>(x[ix]));
-    } else {
-      accumulate(static_cast<double>(x[ix].real()));
-      accumulate(static_cast<double>(x[ix].imag()));
     }
+    return scale * std::sqrt(ssq);
   }
-  return scale * std::sqrt(ssq);
 }
 
 template <typename T>

@@ -99,10 +99,25 @@ void lfd_engine<R>::propagate_local(double a_mid) {
     for (int n = 1; n <= opt_.taylor_order; ++n) {
       h_.apply_column(op, {term, ngrid}, {h, ngrid});
       const double scale = opt_.dt / static_cast<double>(n);
-      const C coeff(0, static_cast<R>(-scale));  // (-i dt / n)
+      // term = (-i dt / n) h; psi += term, as the finite branch of
+      // std::complex's product (c_re = 0 is multiplied, not dropped, so
+      // signed zeros match).  std::complex's NaN-recovery call (C99
+      // Annex G) kept that loop scalar; it changes a result only when an
+      // operand is infinite, i.e. on an already diverged step.
+      const R c_re = 0;
+      const R c_im = static_cast<R>(-scale);
+      R* p = reinterpret_cast<R*>(psi);
+      R* t = reinterpret_cast<R*>(term);
+      const R* hv = reinterpret_cast<const R*>(h);
+#pragma omp simd
       for (std::size_t g = 0; g < ngrid; ++g) {
-        term[g] = coeff * h[g];
-        psi[g] += term[g];
+        const R h_re = hv[2 * g], h_im = hv[2 * g + 1];
+        const R t_re = c_re * h_re - c_im * h_im;
+        const R t_im = c_re * h_im + c_im * h_re;
+        t[2 * g] = t_re;
+        t[2 * g + 1] = t_im;
+        p[2 * g] += t_re;
+        p[2 * g + 1] += t_im;
       }
     }
   };

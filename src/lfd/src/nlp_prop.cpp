@@ -1,10 +1,13 @@
 #include "dcmesh/lfd/nlp_prop.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/level1.hpp"
 #include "dcmesh/trace/tracer.hpp"
+#include "column_sum.hpp"
 
 namespace dcmesh::lfd {
 
@@ -53,19 +56,28 @@ double nlp_renormalize(matrix<std::complex<R>>& psi, double dv) {
   const std::size_t ngrid = psi.rows();
   const std::size_t norb = psi.cols();
   // Renormalize columns via level-1 BLAS (nrm2 accumulates in double, so
-  // the norm itself is mode- and precision-robust).
+  // the norm itself is mode- and precision-robust).  Each column's norm
+  // and scaling run as one kernel-team task on a large enough mesh
+  // (for_each_column) and write only that column and its drift entry;
+  // the worst drift is then taken in column order, so a NaN drift is
+  // skipped as in the serial loop.  The drift buffer is per calling
+  // thread and reused, so a warm step allocates nothing.
+  thread_local std::vector<double> drift_buffer;
+  drift_buffer.resize(norb);
+  double* drift = drift_buffer.data();
   const double sqrt_dv = std::sqrt(dv);
-  double worst = 0.0;
-  for (std::size_t j = 0; j < norb; ++j) {
+  detail::for_each_column(norb, ngrid, [&](std::size_t j) {
     C* col = psi.data() + j * ngrid;
     const double norm =
         blas::nrm2<C>(static_cast<blas::blas_int>(ngrid), col, 1) * sqrt_dv;
-    worst = std::max(worst, std::abs(norm - 1.0));
+    drift[j] = std::abs(norm - 1.0);
     if (norm > 0.0) {
       blas::scal_real<R>(static_cast<blas::blas_int>(ngrid),
                          static_cast<R>(1.0 / norm), col, 1);
     }
-  }
+  });
+  double worst = 0.0;
+  for (std::size_t j = 0; j < norb; ++j) worst = std::max(worst, drift[j]);
   return worst;
 }
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 namespace dcmesh::blas {
@@ -79,6 +82,95 @@ TEST(Level1, Nrm2AvoidsOverflow) {
 TEST(Level1, Nrm2AvoidsUnderflow) {
   std::vector<double> x{1e-200, 1e-200};
   EXPECT_NEAR(nrm2<double>(2, x.data(), 1), 1e-200 * std::sqrt(2.0), 1e-213);
+}
+
+/// Exact-enough reference: long double sum of double squares.
+template <typename T>
+double nrm2_reference(const std::vector<T>& x, std::size_t n,
+                      std::size_t inc) {
+  long double sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<long double> v(x[i * inc]);
+    sum += std::norm(v);
+  }
+  return static_cast<double>(std::sqrt(sum));
+}
+
+template <typename T>
+void nrm2_matches_long_double() {
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> u(-2.0f, 2.0f);
+  for (const std::size_t n : {0, 1, 15, 16, 17, 4096, 5000}) {
+    for (const std::size_t inc : {1, 3}) {
+      std::vector<T> x(std::max<std::size_t>(n * inc, 1));
+      for (auto& v : x) {
+        if constexpr (std::is_same_v<T, float>) {
+          v = u(rng);
+        } else {
+          v = T(u(rng), u(rng));
+        }
+      }
+      const double want = nrm2_reference(x, n, inc);
+      const double got = nrm2<T>(static_cast<blas_int>(n), x.data(),
+                                 static_cast<blas_int>(inc));
+      EXPECT_LE(std::abs(got - want), 1e-12 * want) << n << " inc " << inc;
+    }
+  }
+}
+
+TEST(Level1, Nrm2FloatMatchesLongDouble) {
+  nrm2_matches_long_double<float>();
+}
+
+TEST(Level1, Nrm2ComplexFloatMatchesLongDouble) {
+  nrm2_matches_long_double<cf>();
+}
+
+TEST(Level1, Nrm2FloatStrideChangesNoBits) {
+  // One lane assignment for every stride: a strided vector's norm is the
+  // contiguous one, bit for bit.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+  std::vector<cf> dense(1000), spread(3 * 1000);
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    dense[i] = spread[3 * i] = cf(u(rng), u(rng));
+  }
+  EXPECT_EQ(nrm2<cf>(1000, dense.data(), 1),
+            nrm2<cf>(1000, spread.data(), 3));
+}
+
+TEST(Level1, Nrm2FloatExtremesNeedNoScaling) {
+  const float big = std::numeric_limits<float>::max();
+  const std::vector<float> x{big, big};
+  EXPECT_EQ(nrm2<float>(2, x.data(), 1),
+            std::sqrt(2.0 * static_cast<double>(big) * big));
+  const std::vector<cf> z{{big, big}, {-big, big}};
+  EXPECT_EQ(nrm2<cf>(2, z.data(), 1), 2.0 * static_cast<double>(big));
+
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> sub{tiny, tiny, tiny, tiny};
+  EXPECT_EQ(nrm2<float>(4, sub.data(), 1), 2.0 * static_cast<double>(tiny));
+  const std::vector<cf> zsub{{tiny, 0.0f}, {0.0f, tiny}};
+  EXPECT_EQ(nrm2<cf>(2, zsub.data(), 1),
+            std::sqrt(2.0) * static_cast<double>(tiny));
+}
+
+TEST(Level1, Nrm2FloatPropagatesNanAndInf) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x(40, 1.0f);
+  x[17] = nan;
+  EXPECT_TRUE(std::isnan(nrm2<float>(40, x.data(), 1)));
+  x[17] = inf;
+  EXPECT_EQ(nrm2<float>(40, x.data(), 1), inf);
+  x[3] = nan;  // NaN beside an inf still reads NaN
+  EXPECT_TRUE(std::isnan(nrm2<float>(40, x.data(), 1)));
+
+  std::vector<cf> z(60, cf(1.0f, 1.0f));
+  z[15] = cf(1.0f, nan);
+  EXPECT_TRUE(std::isnan(nrm2<cf>(20, z.data(), 3)));
+  z[15] = cf(-inf, 1.0f);
+  EXPECT_EQ(nrm2<cf>(20, z.data(), 3), inf);
 }
 
 TEST(Level1, DotuAndDotc) {

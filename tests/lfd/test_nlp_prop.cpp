@@ -4,11 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
+#include "../blas/heap_counter.hpp"
+#include "dcmesh/blas/level1.hpp"
 #include "dcmesh/blas/verbose.hpp"
 #include "dcmesh/common/rng.hpp"
 #include "dcmesh/qxmd/scf.hpp"
+#include "dcmesh/sched/config.hpp"
+#include "column_sum.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -128,6 +136,80 @@ TEST(NlpProp, DoublePrecisionUsesZgemm) {
   for (const auto& call : blas::recent_calls()) {
     EXPECT_EQ(call.routine, "ZGEMM");
   }
+}
+
+/// Unnormalized columns on a mesh large enough for the kernel team, one
+/// column holding a NaN (its drift is NaN and must be skipped).
+template <typename R>
+matrix<std::complex<R>> team_sized_state() {
+  const std::size_t ngrid = 4096, norb = 12;
+  static_assert(4096 * 12 >= detail::kTeamMinPoints);
+  xoshiro256 rng(21);
+  matrix<std::complex<R>> psi(ngrid, norb);
+  for (std::size_t i = 0; i < psi.size(); ++i) {
+    psi.data()[i] = {static_cast<R>(rng.uniform(-1, 1)),
+                     static_cast<R>(rng.uniform(-1, 1))};
+  }
+  psi(17, 5) = {std::numeric_limits<R>::quiet_NaN(), R(0)};
+  return psi;
+}
+
+/// The serial column loop nlp_renormalize ran before it used the team.
+template <typename R>
+double inline_renormalize(matrix<std::complex<R>>& psi, double dv) {
+  const std::size_t ngrid = psi.rows();
+  const double sqrt_dv = std::sqrt(dv);
+  double worst = 0.0;
+  for (std::size_t j = 0; j < psi.cols(); ++j) {
+    std::complex<R>* col = psi.data() + j * ngrid;
+    const double norm =
+        blas::nrm2(static_cast<blas::blas_int>(ngrid), col, 1) * sqrt_dv;
+    worst = std::max(worst, std::abs(norm - 1.0));
+    if (norm > 0.0) {
+      blas::scal_real<R>(static_cast<blas::blas_int>(ngrid),
+                         static_cast<R>(1.0 / norm), col, 1);
+    }
+  }
+  return worst;
+}
+
+template <typename R>
+void renormalize_matches_inline() {
+  const double dv = 0.07;
+  for (const int threads : {1, 3}) {
+    sched::set_thread_count(threads);
+    auto want = team_sized_state<R>();
+    auto got = team_sized_state<R>();
+    const double want_drift = inline_renormalize<R>(want, dv);
+    const double got_drift = nlp_renormalize<R>(got, dv);
+    EXPECT_EQ(std::memcmp(&want_drift, &got_drift, sizeof(double)), 0)
+        << threads << " threads";
+    EXPECT_TRUE(std::isfinite(got_drift)) << threads << " threads";
+    EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(std::complex<R>)),
+              0)
+        << threads << " threads";
+  }
+  sched::set_thread_count(0);
+}
+
+TEST(NlpProp, RenormalizeOnTeamMatchesInline) {
+  renormalize_matches_inline<float>();
+  renormalize_matches_inline<double>();
+}
+
+// Renormalization runs every QD step: once warm it makes no heap
+// allocation on a serial or a pooled team.
+TEST(NlpProp, WarmRenormalizeAllocatesNothing) {
+  auto psi = team_sized_state<float>();
+  for (const int threads : {1, 3}) {
+    sched::set_thread_count(threads);
+    (void)nlp_renormalize<float>(psi, 0.07);  // warm the team and buffer
+    const std::uint64_t before = test::heap_allocations();
+    (void)nlp_renormalize<float>(psi, 0.07);
+    EXPECT_EQ(test::heap_allocations() - before, 0u) << threads << " threads";
+  }
+  sched::set_thread_count(0);
 }
 
 }  // namespace
