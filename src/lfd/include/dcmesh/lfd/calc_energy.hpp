@@ -38,35 +38,43 @@ template <typename R>
                                         double dv);
 
 // --- stage entry points -------------------------------------------------
-// calc_energy() composes exactly these four stages.  The task-graph step
-// executor runs them as separate DAG nodes (kinetic/local/nonlocal are
-// mutually independent; band_rotation needs kinetic's T matrix), sharing
-// this one implementation with the serial wrapper.
+// calc_energy() composes exactly these four stages over buffers it
+// allocates; the engine's step graph runs them as separate nodes over its
+// step workspace (kinetic/local/nonlocal are mutually independent;
+// band_rotation needs kinetic's T matrix).
 
-/// Stencil K*Psi + BLAS call 4 (T = dv * Psi^H K Psi) + diagonal
-/// contraction.  `t` must be norb x norb; returns ekin.
+/// Stencil K*Psi into `kpsi` (ngrid x norb, fully overwritten) + BLAS
+/// call 4 (T = dv * Psi^H K Psi) + diagonal contraction.  `t` must be
+/// norb x norb; returns ekin.
 template <typename R>
 double energy_kinetic(const hamiltonian<R>& h,
                       const matrix<std::complex<R>>& psi,
                       std::span<const double> occ, double dv,
+                      matrix<std::complex<R>>& kpsi,
                       matrix<std::complex<R>>& t);
 
-/// Local potential energy (mesh reduction, no BLAS).
+/// Local potential energy (mesh reduction, no BLAS).  `partial` (size
+/// norb) receives each occupied column's reduction.
 template <typename R>
 [[nodiscard]] double energy_local(const hamiltonian<R>& h,
                                   const matrix<std::complex<R>>& psi,
-                                  std::span<const double> occ, double dv);
+                                  std::span<const double> occ, double dv,
+                                  std::span<double> partial);
 
-/// BLAS call 5 (M = G^H W, W = Lambda G) + diagonal; returns enl.
+/// BLAS call 5 (M = G^H W, W = Lambda G) + diagonal; returns enl.  `w`
+/// and `m` must be norb x norb.
 template <typename R>
 [[nodiscard]] double energy_nonlocal(const matrix<std::complex<R>>& g,
                                      double lambda_nl,
-                                     std::span<const double> occ);
+                                     std::span<const double> occ,
+                                     matrix<std::complex<R>>& w,
+                                     matrix<std::complex<R>>& m);
 
-/// BLAS call 6 (U = T G) + contraction; returns eband_rot.
+/// BLAS call 6 (U = T G into `u`) + contraction; returns eband_rot.
 template <typename R>
 [[nodiscard]] double energy_band_rotation(const matrix<std::complex<R>>& t,
                                           const matrix<std::complex<R>>& g,
-                                          std::span<const double> occ);
+                                          std::span<const double> occ,
+                                          matrix<std::complex<R>>& u);
 
 }  // namespace dcmesh::lfd

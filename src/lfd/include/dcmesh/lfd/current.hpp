@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <span>
+#include <vector>
 
 #include "dcmesh/common/matrix.hpp"
 #include "dcmesh/mesh/grid.hpp"
@@ -17,12 +18,29 @@
 
 namespace dcmesh::lfd {
 
-/// Average current density (atomic units) along `axis` at field value `a`.
+/// Average current density (atomic units) along `axis` at field value
+/// `a`, over caller-owned buffers: each occupied column's gradient goes to
+/// the same column of `grad` (ngrid x norb), and its two mesh reductions
+/// to `partial` (size 2 norb).
 template <typename R>
 [[nodiscard]] double current_density(const mesh::grid3d& grid,
                                      mesh::fd_order order, int axis,
                                      const matrix<std::complex<R>>& psi,
                                      std::span<const double> occ, double a,
-                                     double dv);
+                                     double dv, matrix<std::complex<R>>& grad,
+                                     std::span<double> partial);
+
+/// The same over buffers it allocates.
+template <typename R>
+[[nodiscard]] double current_density(const mesh::grid3d& grid,
+                                     mesh::fd_order order, int axis,
+                                     const matrix<std::complex<R>>& psi,
+                                     std::span<const double> occ, double a,
+                                     double dv) {
+  matrix<std::complex<R>> grad(psi.rows(), psi.cols());
+  std::vector<double> partial(2 * psi.cols());
+  return current_density<R>(grid, order, axis, psi, occ, a, dv, grad,
+                            partial);
+}
 
 }  // namespace dcmesh::lfd

@@ -10,6 +10,10 @@
 //   3. calc_energy                            (BLAS calls 4-6);
 //   4. remap_occ                              (BLAS calls 7-9);
 //   5. current density (stencil reduction).
+// Steps 2-5 are one task_graph of 13 nodes, built at construction over
+// a step workspace sized up front, and run once per step: serially in
+// insertion order (steps 2-5 as listed) or on the DCMESH_SCHED pool.  A
+// warm step allocates only in its nine BLAS call records.
 // Templated over the real scalar: lfd_engine<float> is the paper's FP32 LFD
 // whose BLAS precision is steered by MKL_BLAS_COMPUTE_MODE;
 // lfd_engine<double> is the FP64 reference build.
@@ -21,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "dcmesh/common/aligned.hpp"
 #include "dcmesh/common/matrix.hpp"
 #include "dcmesh/lfd/calc_energy.hpp"
 #include "dcmesh/lfd/hamiltonian.hpp"
@@ -29,10 +34,7 @@
 #include "dcmesh/mesh/laser.hpp"
 #include "dcmesh/qxmd/atoms.hpp"
 #include "dcmesh/qxmd/scf.hpp"
-
-namespace dcmesh::sched {
-class thread_pool;
-}
+#include "dcmesh/sched/task_graph.hpp"
 
 namespace dcmesh::lfd {
 
@@ -69,15 +71,23 @@ struct qd_record {
 
 template <typename R>
 class lfd_engine {
+  using C = std::complex<R>;
+
  public:
   /// `psi_init` is the FP64 ground state from the QXMD SCF (converted to
   /// this engine's precision); `occ` the occupation numbers; `nocc` the
-  /// occupied count.  The constructor records the t = 0 energy baseline.
+  /// occupied count.  The constructor records the t = 0 energy baseline
+  /// through the composite nlp_prop/calc_energy, not the step graph.
   lfd_engine(mesh::grid3d grid, lfd_options options,
              const matrix<cdouble>& psi_init, std::vector<double> occ,
              std::size_t nocc, std::vector<double> v_loc);
+  // The step graph's nodes capture `this`.
+  lfd_engine(const lfd_engine&) = delete;
+  lfd_engine& operator=(const lfd_engine&) = delete;
 
-  /// Advance one QD step and return its observables.
+  /// Advance one QD step and return its observables: the local
+  /// propagation, then one run of the step graph on
+  /// sched::active_pool() (serial when null; the same bits either way).
   qd_record qd_step();
 
   /// FP64 SCF refresh (call between series of 500 QD steps): repairs
@@ -94,12 +104,8 @@ class lfd_engine {
 
   [[nodiscard]] double time() const noexcept { return t_; }
   [[nodiscard]] std::size_t qd_steps_taken() const noexcept { return steps_; }
-  [[nodiscard]] const matrix<std::complex<R>>& psi() const noexcept {
-    return psi_;
-  }
-  [[nodiscard]] const matrix<std::complex<R>>& psi0() const noexcept {
-    return psi0_;
-  }
+  [[nodiscard]] const matrix<C>& psi() const noexcept { return psi_; }
+  [[nodiscard]] const matrix<C>& psi0() const noexcept { return psi0_; }
   [[nodiscard]] const hamiltonian<R>& h() const noexcept { return h_; }
   [[nodiscard]] std::size_t nocc() const noexcept { return nocc_; }
   [[nodiscard]] const std::vector<double>& occupations() const noexcept {
@@ -129,28 +135,39 @@ class lfd_engine {
   /// std::runtime_error on mismatch or truncated input.
   void load_state(std::istream& is);
 
-  /// Advance one QD step and return its observables.  qd_step() routes
-  /// here when DCMESH_SCHED selects the pool: the step's BLAS stages and
-  /// mesh kernels run as a dependency DAG on the persistent pool.
-  /// Bit-identical to the serial path (every node writes disjoint
-  /// outputs; every edge orders writer before reader).
-  qd_record qd_step_pooled(sched::thread_pool& pool);
-
  private:
+  /// What the step graph's nodes write besides psi_ and g_, sized at
+  /// construction.  K*Psi and the current's gradients borrow
+  /// scratch_term_ and scratch_h_, idle once propagate_local returns.
+  struct step_workspace {
+    step_workspace(std::size_t ngrid, std::size_t norb, std::size_t nocc);
+    aligned_buffer<C> phase;      ///< Strang half-step phase (ngrid).
+    matrix<C> gg;                 ///< nlp_subspace's G^H G.
+    matrix<C> t, w, m, u;         ///< calc_energy's norb x norb products.
+    matrix<C> s, o, rmat;         ///< remap_occ's S, O and S^H O.
+    std::vector<double> subspace_weight, drift, population;
+    std::vector<double> local_partial, current_partial;
+    double a_now = 0.0;  ///< Field at the step's end (input).
+    double drift_max = 0.0, ekin = 0.0, epot = 0.0, enl = 0.0, javg = 0.0;
+    double eband_rot = 0.0, nexc = 0.0, nexc_second_order = 0.0;
+  };
+
   void propagate_local(double a_mid);
-  qd_record measure(double a_now);
+  void build_step_graph();
   void check_step_invariants(const qd_record& rec);
 
   mesh::grid3d grid_;
   lfd_options opt_;
   hamiltonian<R> h_;
-  matrix<std::complex<R>> psi_;
-  matrix<std::complex<R>> psi0_;
-  matrix<std::complex<R>> scratch_term_;
-  matrix<std::complex<R>> scratch_h_;
-  matrix<std::complex<R>> g_;  ///< Latest KS overlap from nlp_prop.
+  matrix<C> psi_;
+  matrix<C> psi0_;
+  matrix<C> scratch_term_;
+  matrix<C> scratch_h_;
+  matrix<C> g_;  ///< Latest KS overlap from nlp_prop.
   std::vector<double> occ_;
   std::size_t nocc_;
+  step_workspace ws_;
+  sched::task_graph graph_{"lfd/qd_step"};
   double t_ = 0.0;
   std::size_t steps_ = 0;
   double eband0_ = 0.0;

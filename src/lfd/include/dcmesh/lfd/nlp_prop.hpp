@@ -13,6 +13,7 @@
 // Three BLAS calls per invocation (calls 1-3 of the 9 per QD step).
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "dcmesh/common/matrix.hpp"
@@ -42,11 +43,10 @@ template <typename R>
                                      std::complex<double> c, double dv);
 
 // --- stage entry points -------------------------------------------------
-// nlp_prop() is exactly the composition of these four stages, in order.
-// The task-graph step executor runs them as separate DAG nodes (subspace
-// may overlap project; renormalize waits on project), so they are exposed
-// here; keeping ONE implementation is what makes the pooled schedule
-// bit-identical to the serial wrapper.
+// nlp_prop() is exactly the composition of these four stages, in order,
+// over buffers it allocates; the engine's step graph runs them as
+// separate nodes over its step workspace (subspace may overlap project;
+// renormalize waits on project).
 
 /// BLAS call 1: g = dv * Psi0^H Psi(t).  `g` must be norb x norb.
 template <typename R>
@@ -60,13 +60,16 @@ void nlp_project(const matrix<std::complex<R>>& psi0,
                  const matrix<std::complex<R>>& g, std::complex<double> c,
                  matrix<std::complex<R>>& psi);
 
-/// BLAS call 3 + diagonal extraction: weight_j = (g^H g)_jj.
+/// BLAS call 3 (o = g^H g, norb x norb) + diagonal extraction:
+/// weight[j] = o_jj, `weight` of size norb.
 template <typename R>
-[[nodiscard]] std::vector<double> nlp_subspace(
-    const matrix<std::complex<R>>& g);
+void nlp_subspace(const matrix<std::complex<R>>& g,
+                  matrix<std::complex<R>>& o, std::span<double> weight);
 
 /// Column renormalization (level-1 BLAS); returns max |norm - 1|.
+/// `drift` (size norb) receives each column's |norm - 1|.
 template <typename R>
-double nlp_renormalize(matrix<std::complex<R>>& psi, double dv);
+double nlp_renormalize(matrix<std::complex<R>>& psi, double dv,
+                       std::span<double> drift);
 
 }  // namespace dcmesh::lfd

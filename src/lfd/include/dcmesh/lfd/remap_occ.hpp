@@ -39,10 +39,10 @@ template <typename R>
                                      std::size_t nocc, double dv);
 
 // --- stage entry points -------------------------------------------------
-// remap_occ() composes exactly these four stages.  The task-graph step
-// executor runs them as separate DAG nodes (moment1/population both fan
-// out from overlap; moment2 chains after moment1), sharing this one
-// implementation with the serial wrapper.
+// remap_occ() composes exactly these four stages over buffers it
+// allocates; the engine's step graph runs them as separate nodes over its
+// step workspace (moment1/population both fan out from overlap; moment2
+// chains after moment1).
 
 /// BLAS call 7 (Table VII's GEMM): s = dv * Psi_occ^H(t) * Psi0_unocc.
 /// `s` must be nocc x (norb - nocc).
@@ -58,16 +58,19 @@ double remap_moment1(const matrix<std::complex<R>>& s,
                      std::span<const double> occ,
                      matrix<std::complex<R>>& o);
 
-/// BLAS call 9 (Rmat = S^H O) + contraction; returns the second-order
-/// excitation moment.
+/// BLAS call 9 (Rmat = S^H O, `rmat` (norb - nocc) x nocc) + contraction;
+/// returns the second-order excitation moment.
 template <typename R>
 [[nodiscard]] double remap_moment2(const matrix<std::complex<R>>& s,
                                    const matrix<std::complex<R>>& o,
-                                   std::span<const double> occ);
+                                   std::span<const double> occ,
+                                   matrix<std::complex<R>>& rmat);
 
-/// Per-unoccupied-orbital population (level-1 work on S); sums to nexc.
+/// Per-unoccupied-orbital population (level-1 work on S) into
+/// `population` (size norb - nocc); sums to nexc.
 template <typename R>
-[[nodiscard]] std::vector<double> remap_population(
-    const matrix<std::complex<R>>& s, std::span<const double> occ);
+void remap_population(const matrix<std::complex<R>>& s,
+                      std::span<const double> occ,
+                      std::span<double> population);
 
 }  // namespace dcmesh::lfd

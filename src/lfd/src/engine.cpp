@@ -8,13 +8,10 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "dcmesh/common/aligned.hpp"
 #include "dcmesh/lfd/current.hpp"
 #include "dcmesh/mesh/stencil.hpp"
 #include "dcmesh/resil/health.hpp"
 #include "dcmesh/sched/config.hpp"
-#include "dcmesh/sched/pool.hpp"
-#include "dcmesh/sched/task_graph.hpp"
 #include "dcmesh/trace/tracer.hpp"
 
 namespace dcmesh::lfd {
@@ -33,7 +30,8 @@ lfd_engine<R>::lfd_engine(mesh::grid3d grid, lfd_options options,
       scratch_h_(psi_init.rows(), psi_init.cols()),
       g_(psi_init.cols(), psi_init.cols()),
       occ_(std::move(occ)),
-      nocc_(nocc) {
+      nocc_(nocc),
+      ws_(psi_init.rows(), psi_init.cols(), nocc) {
   if (static_cast<std::int64_t>(psi_init.rows()) != grid.size()) {
     throw std::invalid_argument("lfd_engine: psi rows != grid size");
   }
@@ -58,17 +56,118 @@ lfd_engine<R>::lfd_engine(mesh::grid3d grid, lfd_options options,
   }
 
   // t = 0 baseline: the KS overlap of the unpropagated state is G ~ 1;
-  // evaluate it with the same code path used later (c = 0: no correction).
+  // evaluate it with the composites of the step graph's stages (c = 0:
+  // no correction), so the graph itself runs only in qd_step.
   auto nlp = nlp_prop<R>(psi0_, psi_, std::complex<double>(0.0, 0.0), dv());
   g_ = std::move(nlp.g);
   h_.set_field(opt_.pulse.a(0.0));
   const energy_report e0 = calc_energy<R>(h_, psi_, g_, opt_.v_nl, occ_, dv());
   eband0_ = e0.eband();
+  build_step_graph();
+}
+
+template <typename R>
+lfd_engine<R>::step_workspace::step_workspace(std::size_t ngrid,
+                                              std::size_t norb,
+                                              std::size_t nocc)
+    : phase(ngrid),
+      gg(norb, norb),
+      t(norb, norb),
+      w(norb, norb),
+      m(norb, norb),
+      u(norb, norb),
+      subspace_weight(norb),
+      drift(norb),
+      local_partial(norb),
+      current_partial(2 * norb) {
+  if (nocc == 0 || nocc >= norb) return;  // rejected by the engine
+  const std::size_t nunocc = norb - nocc;
+  s = matrix<C>(nocc, nunocc);
+  o = matrix<C>(nocc, nocc);
+  rmat = matrix<C>(nunocc, nocc);
+  population.resize(nunocc);
+}
+
+template <typename R>
+void lfd_engine<R>::build_step_graph() {
+  // Stages 2-5 of the step, in the serial order of nlp_prop, calc_energy,
+  // remap_occ and current_density.  Edges order every writer before its
+  // readers: psi_ is written by project then renorm; g_ by overlap;
+  // ws_.t by kinetic; ws_.s by remap/overlap; ws_.o by moment1.  K*Psi
+  // (scratch_term_) and the gradients (scratch_h_) have one writer each.
+  sched::task_graph& graph = graph_;
+  const auto overlap = graph.add(
+      "nlp/overlap", [this] { nlp_overlap<R>(psi0_, psi_, dv(), g_); });
+  const auto project = graph.add(
+      "nlp/project",
+      [this] {
+        nlp_project<R>(psi0_, g_, {0.0, -opt_.dt * opt_.v_nl}, psi_);
+      },
+      {overlap});
+  graph.add(
+      "nlp/subspace",
+      [this] { nlp_subspace<R>(g_, ws_.gg, ws_.subspace_weight); },
+      {overlap});
+  const auto renorm = graph.add(
+      "nlp/renorm",
+      [this] { ws_.drift_max = nlp_renormalize<R>(psi_, dv(), ws_.drift); },
+      {project});
+  const auto kinetic = graph.add(
+      "energy/kinetic",
+      [this] {
+        ws_.ekin =
+            energy_kinetic<R>(h_, psi_, occ_, dv(), scratch_term_, ws_.t);
+      },
+      {renorm});
+  graph.add(
+      "energy/local",
+      [this] {
+        ws_.epot = energy_local<R>(h_, psi_, occ_, dv(), ws_.local_partial);
+      },
+      {renorm});
+  graph.add(
+      "energy/nonlocal",
+      [this] {
+        ws_.enl = energy_nonlocal<R>(g_, opt_.v_nl, occ_, ws_.w, ws_.m);
+      },
+      {overlap});
+  graph.add(
+      "energy/band_rot",
+      [this] {
+        ws_.eband_rot = energy_band_rotation<R>(ws_.t, g_, occ_, ws_.u);
+      },
+      {kinetic});
+  const auto roverlap = graph.add(
+      "remap/overlap",
+      [this] { remap_overlap<R>(psi0_, psi_, nocc_, dv(), ws_.s); },
+      {renorm});
+  const auto moment1 = graph.add(
+      "remap/moment1",
+      [this] { ws_.nexc = remap_moment1<R>(ws_.s, occ_, ws_.o); },
+      {roverlap});
+  graph.add(
+      "remap/moment2",
+      [this] {
+        ws_.nexc_second_order = remap_moment2<R>(ws_.s, ws_.o, occ_, ws_.rmat);
+      },
+      {moment1});
+  graph.add(
+      "remap/population",
+      [this] { remap_population<R>(ws_.s, occ_, ws_.population); },
+      {roverlap});
+  graph.add(
+      "current",
+      [this] {
+        ws_.javg = current_density<R>(grid_, opt_.order,
+                                      h_.polarization_axis(), psi_, occ_,
+                                      ws_.a_now, dv(), scratch_h_,
+                                      ws_.current_partial);
+      },
+      {renorm});
 }
 
 template <typename R>
 void lfd_engine<R>::propagate_local(double a_mid) {
-  using C = std::complex<R>;
   h_.set_field(a_mid);
 
   // Stability guard: the Taylor expansion diverges if its operator norm
@@ -132,148 +231,37 @@ void lfd_engine<R>::propagate_local(double a_mid) {
 
   // Strang: exp(-i D dt/2) exp(-i T dt) exp(-i D dt/2) with D = V + A^2/2
   // applied as an exact elementwise phase (unitary by construction).
-  aligned_buffer<C> phase(ngrid);
-  strang_phase<R>(h_, opt_.dt, phase.span());
-  sched::team_parallel_for(ncols, [&](long j) {
+  // The team body captures two pointers, so std::function keeps it
+  // inline and the step allocates nothing.
+  strang_phase<R>(h_, opt_.dt, ws_.phase.span());
+  sched::team_parallel_for(ncols, [this, &taylor_column](long j) {
     const auto col = static_cast<std::size_t>(j);
-    const std::span<C> psi{psi_.data() + col * ngrid, ngrid};
-    multiply_phase<R>(psi, phase.span());
+    const std::span<C> psi{psi_.data() + col * psi_.rows(), psi_.rows()};
+    multiply_phase<R>(psi, ws_.phase.span());
     taylor_column(part::kinetic_field, col);
-    multiply_phase<R>(psi, phase.span());
+    multiply_phase<R>(psi, ws_.phase.span());
   });
 }
 
 template <typename R>
-qd_record lfd_engine<R>::measure(double a_now) {
-  h_.set_field(a_now);
-  const energy_report e = calc_energy<R>(h_, psi_, g_, opt_.v_nl, occ_, dv());
-  const remap_report r = remap_occ<R>(psi0_, psi_, occ_, nocc_, dv());
-  const double javg = current_density<R>(
-      grid_, opt_.order, h_.polarization_axis(), psi_, occ_, a_now, dv());
-
-  qd_record rec;
-  rec.t = t_;
-  rec.ekin = e.ekin;
-  rec.epot = e.epot + e.enl;
-  rec.etot = e.eband();
-  rec.eexc = e.eband() - eband0_;
-  rec.nexc = r.nexc;
-  rec.aext = std::abs(a_now);
-  rec.javg = javg;
-  return rec;
-}
-
-template <typename R>
 qd_record lfd_engine<R>::qd_step() {
-  if (sched::thread_pool* pool = sched::active_pool()) {
-    return qd_step_pooled(*pool);
-  }
-
-  // Serial path — the bit-exactness oracle the pooled schedule is locked
-  // against.  Every stage below is the same function the graph nodes run.
-  const double a_mid = opt_.pulse.a(t_ + 0.5 * opt_.dt);
-  propagate_local(a_mid);
-
-  // Nonlocal correction (BLAS calls 1-3); c = -i dt v_nl.
-  auto nlp = nlp_prop<R>(psi0_, psi_,
-                         std::complex<double>(0.0, -opt_.dt * opt_.v_nl),
-                         dv());
-  g_ = std::move(nlp.g);
-  last_norm_drift_ = nlp.norm_drift;
-
-  t_ += opt_.dt;
-  ++steps_;
-  qd_record rec = measure(opt_.pulse.a(t_));
-  check_step_invariants(rec);
-  return rec;
-}
-
-template <typename R>
-qd_record lfd_engine<R>::qd_step_pooled(sched::thread_pool& pool) {
-  using C = std::complex<R>;
   trace::span step_span("lfd/qd_step", "sched");
+  propagate_local(opt_.pulse.a(t_ + 0.5 * opt_.dt));
 
-  // Prologue outside the graph: the local propagation is sequential in
-  // its Taylor terms but not across columns, so it runs column-parallel
-  // on the pool's worker team (team_parallel_for) before the graph.
-  const double a_mid = opt_.pulse.a(t_ + 0.5 * opt_.dt);
-  propagate_local(a_mid);
-
+  // The measurement field is set before the graph; no node mutates h_.
   const double t_next = t_ + opt_.dt;
-  const double a_now = opt_.pulse.a(t_next);
-  // Legacy order sets the measurement field before calc_energy; no graph
-  // node mutates h_, so setting it up front is the identical sequence.
-  h_.set_field(a_now);
+  ws_.a_now = opt_.pulse.a(t_next);
+  h_.set_field(ws_.a_now);
+  graph_.run(sched::active_pool());
 
-  const std::size_t norb = psi_.cols();
-  const std::size_t nunocc = norb - nocc_;
-  const std::complex<double> c(0.0, -opt_.dt * opt_.v_nl);
-
-  // Stage outputs (locals so a failed step leaves members untouched
-  // except psi_/g_, exactly like the serial path).
-  matrix<C> t_mat(norb, norb);
-  matrix<C> s(nocc_, nunocc);
-  matrix<C> o(nocc_, nocc_);
-  double drift = 0.0, ekin = 0.0, epot = 0.0, enl = 0.0;
-  double nexc = 0.0, javg = 0.0;
-
-  // One QD step as a dependency DAG.  Edges order every writer before
-  // its readers: psi_ is written by project then renorm; g_ by overlap;
-  // t_mat by kinetic; s by remap/overlap; o by moment1.
-  sched::task_graph graph("lfd/qd_step");
-  const auto overlap = graph.add(
-      "nlp/overlap", [&] { nlp_overlap<R>(psi0_, psi_, dv(), g_); });
-  const auto project = graph.add(
-      "nlp/project", [&] { nlp_project<R>(psi0_, g_, c, psi_); }, {overlap});
-  graph.add("nlp/subspace", [&] { (void)nlp_subspace<R>(g_); }, {overlap});
-  const auto renorm = graph.add(
-      "nlp/renorm", [&] { drift = nlp_renormalize<R>(psi_, dv()); },
-      {project});
-  const auto kinetic = graph.add(
-      "energy/kinetic",
-      [&] { ekin = energy_kinetic<R>(h_, psi_, occ_, dv(), t_mat); },
-      {renorm});
-  graph.add("energy/local",
-            [&] { epot = energy_local<R>(h_, psi_, occ_, dv()); }, {renorm});
-  graph.add("energy/nonlocal",
-            [&] { enl = energy_nonlocal<R>(g_, opt_.v_nl, occ_); },
-            {overlap});
-  graph.add("energy/band_rot",
-            [&] { (void)energy_band_rotation<R>(t_mat, g_, occ_); },
-            {kinetic});
-  const auto roverlap = graph.add(
-      "remap/overlap", [&] { remap_overlap<R>(psi0_, psi_, nocc_, dv(), s); },
-      {renorm});
-  const auto moment1 = graph.add(
-      "remap/moment1", [&] { nexc = remap_moment1<R>(s, occ_, o); },
-      {roverlap});
-  graph.add("remap/moment2", [&] { (void)remap_moment2<R>(s, o, occ_); },
-            {moment1});
-  graph.add("remap/population", [&] { (void)remap_population<R>(s, occ_); },
-            {roverlap});
-  graph.add("current",
-            [&] {
-              javg = current_density<R>(grid_, opt_.order,
-                                        h_.polarization_axis(), psi_, occ_,
-                                        a_now, dv());
-            },
-            {renorm});
-
-  graph.run(&pool);
-
-  last_norm_drift_ = drift;
-  t_ += opt_.dt;
+  last_norm_drift_ = ws_.drift_max;
+  t_ = t_next;
   ++steps_;
 
-  qd_record rec;
-  rec.t = t_;
-  rec.ekin = ekin;
-  rec.epot = epot + enl;
-  rec.etot = ekin + epot + enl;
-  rec.eexc = rec.etot - eband0_;
-  rec.nexc = nexc;
-  rec.aext = std::abs(a_now);
-  rec.javg = javg;
+  const double etot = ws_.ekin + ws_.epot + ws_.enl;
+  const qd_record rec{.t = t_, .ekin = ws_.ekin, .epot = ws_.epot + ws_.enl,
+                      .etot = etot, .eexc = etot - eband0_, .nexc = ws_.nexc,
+                      .aext = std::abs(ws_.a_now), .javg = ws_.javg};
   check_step_invariants(rec);
   return rec;
 }
@@ -319,7 +307,6 @@ qxmd::scf_report lfd_engine<R>::refresh_scf() {
 
 template <typename R>
 void lfd_engine<R>::apply_delta_kick(double kappa) {
-  using C = std::complex<R>;
   const int axis = h_.polarization_axis();
   const std::int64_t n_axis = axis == 0 ? grid_.nx
                               : axis == 1 ? grid_.ny

@@ -35,23 +35,21 @@ void nlp_project(const matrix<std::complex<R>>& psi0,
 }
 
 template <typename R>
-std::vector<double> nlp_subspace(const matrix<std::complex<R>>& g) {
+void nlp_subspace(const matrix<std::complex<R>>& g,
+                  matrix<std::complex<R>>& o, std::span<double> weight) {
   using C = std::complex<R>;
-  const std::size_t norb = g.cols();
   // BLAS call 3: O = G^H * G                (norb x norb, k = norb)
-  matrix<C> o(norb, norb);
   blas::gemm<C>(blas::transpose::conj_trans, blas::transpose::none, C(1),
                 g.view(), g.view(), C(0), o.view(),
                 "lfd/nlp_prop/subspace");
-  std::vector<double> weight(norb);
-  for (std::size_t j = 0; j < norb; ++j) {
+  for (std::size_t j = 0; j < g.cols(); ++j) {
     weight[j] = static_cast<double>(o(j, j).real());
   }
-  return weight;
 }
 
 template <typename R>
-double nlp_renormalize(matrix<std::complex<R>>& psi, double dv) {
+double nlp_renormalize(matrix<std::complex<R>>& psi, double dv,
+                       std::span<double> drift) {
   using C = std::complex<R>;
   const std::size_t ngrid = psi.rows();
   const std::size_t norb = psi.cols();
@@ -60,11 +58,7 @@ double nlp_renormalize(matrix<std::complex<R>>& psi, double dv) {
   // and scaling run as one kernel-team task on a large enough mesh
   // (for_each_column) and write only that column and its drift entry;
   // the worst drift is then taken in column order, so a NaN drift is
-  // skipped as in the serial loop.  The drift buffer is per calling
-  // thread and reused, so a warm step allocates nothing.
-  thread_local std::vector<double> drift_buffer;
-  drift_buffer.resize(norb);
-  double* drift = drift_buffer.data();
+  // skipped as in the serial loop.
   const double sqrt_dv = std::sqrt(dv);
   detail::for_each_column(norb, ngrid, [&](std::size_t j) {
     C* col = psi.data() + j * ngrid;
@@ -89,12 +83,13 @@ nlp_result<R> nlp_prop(const matrix<std::complex<R>>& psi0,
   using C = std::complex<R>;
   const std::size_t norb = psi.cols();
 
-  nlp_result<R> result;
-  result.g = matrix<C>(norb, norb);
+  nlp_result<R> result{matrix<C>(norb, norb), std::vector<double>(norb)};
+  matrix<C> o(norb, norb);
+  std::vector<double> drift(norb);
   nlp_overlap<R>(psi0, psi, dv, result.g);
   nlp_project<R>(psi0, result.g, c, psi);
-  result.subspace_weight = nlp_subspace<R>(result.g);
-  result.norm_drift = nlp_renormalize<R>(psi, dv);
+  nlp_subspace<R>(result.g, o, result.subspace_weight);
+  result.norm_drift = nlp_renormalize<R>(psi, dv, drift);
   return result;
 }
 
@@ -112,13 +107,16 @@ template void nlp_project<double>(const matrix<std::complex<double>>&,
                                   const matrix<std::complex<double>>&,
                                   std::complex<double>,
                                   matrix<std::complex<double>>&);
-template std::vector<double> nlp_subspace<float>(
-    const matrix<std::complex<float>>&);
-template std::vector<double> nlp_subspace<double>(
-    const matrix<std::complex<double>>&);
-template double nlp_renormalize<float>(matrix<std::complex<float>>&, double);
+template void nlp_subspace<float>(const matrix<std::complex<float>>&,
+                                  matrix<std::complex<float>>&,
+                                  std::span<double>);
+template void nlp_subspace<double>(const matrix<std::complex<double>>&,
+                                   matrix<std::complex<double>>&,
+                                   std::span<double>);
+template double nlp_renormalize<float>(matrix<std::complex<float>>&, double,
+                                       std::span<double>);
 template double nlp_renormalize<double>(matrix<std::complex<double>>&,
-                                        double);
+                                        double, std::span<double>);
 template nlp_result<float> nlp_prop<float>(
     const matrix<std::complex<float>>&, matrix<std::complex<float>>&,
     std::complex<double>, double);

@@ -52,13 +52,13 @@ double remap_moment1(const matrix<std::complex<R>>& s,
 template <typename R>
 double remap_moment2(const matrix<std::complex<R>>& s,
                      const matrix<std::complex<R>>& o,
-                     std::span<const double> occ) {
+                     std::span<const double> occ,
+                     matrix<std::complex<R>>& rmat) {
   using C = std::complex<R>;
   const std::size_t nocc = s.rows();
   const std::size_t nunocc = s.cols();
   // BLAS call 9: Rmat = S^H * O (nunocc x nocc, k = nocc); the
   // second-order moment sum_i f_i (O^2)_ii = sum_{u,i} f_i Re[S_iu Rmat_ui].
-  matrix<C> rmat(nunocc, nocc);
   blas::gemm<C>(blas::transpose::conj_trans, blas::transpose::none, C(1),
                 s.view(), o.view(), C(0), rmat.view(),
                 "lfd/remap_occ/moment2");
@@ -78,13 +78,13 @@ double remap_moment2(const matrix<std::complex<R>>& s,
 }
 
 template <typename R>
-std::vector<double> remap_population(const matrix<std::complex<R>>& s,
-                                     std::span<const double> occ) {
+void remap_population(const matrix<std::complex<R>>& s,
+                      std::span<const double> occ,
+                      std::span<double> population) {
   using C = std::complex<R>;
   const std::size_t nocc = s.rows();
   const std::size_t nunocc = s.cols();
   // Per-unoccupied-orbital population (level-1 work on S).
-  std::vector<double> population(nunocc, 0.0);
   for (std::size_t u = 0; u < nunocc; ++u) {
     double pop = 0.0;
     for (std::size_t i = 0; i < nocc; ++i) {
@@ -94,7 +94,6 @@ std::vector<double> remap_population(const matrix<std::complex<R>>& s,
     }
     population[u] = pop;
   }
-  return population;
 }
 
 template <typename R>
@@ -110,14 +109,13 @@ remap_report remap_occ(const matrix<std::complex<R>>& psi0,
   }
   const std::size_t nunocc = norb - nocc;
 
-  matrix<C> s(nocc, nunocc);
-  remap_overlap<R>(psi0, psi, nocc, dv, s);
-
+  matrix<C> s(nocc, nunocc), o(nocc, nocc), rmat(nunocc, nocc);
   remap_report report;
-  matrix<C> o(nocc, nocc);
+  report.unocc_population.resize(nunocc);
+  remap_overlap<R>(psi0, psi, nocc, dv, s);
   report.nexc = remap_moment1<R>(s, occ, o);
-  report.nexc_second_order = remap_moment2<R>(s, o, occ);
-  report.unocc_population = remap_population<R>(s, occ);
+  report.nexc_second_order = remap_moment2<R>(s, o, occ, rmat);
+  remap_population<R>(s, occ, report.unocc_population);
   return report;
 }
 
@@ -137,14 +135,18 @@ template double remap_moment1<double>(const matrix<std::complex<double>>&,
                                       matrix<std::complex<double>>&);
 template double remap_moment2<float>(const matrix<std::complex<float>>&,
                                      const matrix<std::complex<float>>&,
-                                     std::span<const double>);
+                                     std::span<const double>,
+                                     matrix<std::complex<float>>&);
 template double remap_moment2<double>(const matrix<std::complex<double>>&,
                                       const matrix<std::complex<double>>&,
-                                      std::span<const double>);
-template std::vector<double> remap_population<float>(
-    const matrix<std::complex<float>>&, std::span<const double>);
-template std::vector<double> remap_population<double>(
-    const matrix<std::complex<double>>&, std::span<const double>);
+                                      std::span<const double>,
+                                      matrix<std::complex<double>>&);
+template void remap_population<float>(const matrix<std::complex<float>>&,
+                                      std::span<const double>,
+                                      std::span<double>);
+template void remap_population<double>(const matrix<std::complex<double>>&,
+                                       std::span<const double>,
+                                       std::span<double>);
 template remap_report remap_occ<float>(const matrix<std::complex<float>>&,
                                        const matrix<std::complex<float>>&,
                                        std::span<const double>, std::size_t,

@@ -22,12 +22,11 @@ namespace {
 // nothing but this block — never the graph or the caller's frame.
 struct graph_run {
   struct node_view {
-    const std::string* name = nullptr;
+    const std::string* span_name = nullptr;
     const std::function<void()>* fn = nullptr;
     const std::vector<std::size_t>* children = nullptr;
   };
 
-  std::string graph_name;
   std::vector<node_view> nodes;
   thread_pool* pool = nullptr;
   std::size_t total = 0;
@@ -45,25 +44,19 @@ struct graph_run {
 
 // Resolve one finished (ok) or failed/skipped (!ok) node: decrement its
 // children, collect the newly runnable ones, cascade skips through
-// poisoned subtrees.  Caller holds s.mutex.
+// poisoned subtrees (recursion depth: the graph's depth).  Caller holds
+// s.mutex.
 void resolve_locked(graph_run& s, std::size_t id, bool ok,
                     std::vector<std::size_t>& newly_ready) {
-  std::deque<std::pair<std::size_t, bool>> work;
-  work.emplace_back(id, ok);
-  while (!work.empty()) {
-    auto [cur, cur_ok] = work.front();
-    work.pop_front();
-    for (std::size_t child : *s.nodes[cur].children) {
-      if (!cur_ok) s.poisoned[child] = 1;
-      if (--s.deps[child] == 0) {
-        if (s.poisoned[child]) {
-          ++s.skipped;
-          ++s.done;
-          work.emplace_back(child, false);
-        } else {
-          newly_ready.push_back(child);
-        }
-      }
+  for (std::size_t child : *s.nodes[id].children) {
+    if (!ok) s.poisoned[child] = 1;
+    if (--s.deps[child] != 0) continue;
+    if (s.poisoned[child]) {
+      ++s.skipped;
+      ++s.done;
+      resolve_locked(s, child, false, newly_ready);
+    } else {
+      newly_ready.push_back(child);
     }
   }
 }
@@ -81,7 +74,7 @@ bool execute_one(const std::shared_ptr<graph_run>& s) {
   const graph_run::node_view& n = s->nodes[id];
   bool ok = true;
   {
-    trace::span sp(s->graph_name + "/" + *n.name, "sched");
+    trace::span sp(*n.span_name, "sched");
     sp.arg("worker", std::int64_t{s->pool->current_worker_id()});
     try {
       (*n.fn)();
@@ -115,23 +108,18 @@ bool execute_one(const std::shared_ptr<graph_run>& s) {
 
 task_graph::task_graph(std::string name) : name_(std::move(name)) {}
 
-task_graph::node_id task_graph::add(std::string name, std::function<void()> fn,
+task_graph::node_id task_graph::add(std::string_view name,
+                                    std::function<void()> fn,
                                     std::initializer_list<node_id> deps) {
-  return add(std::move(name), std::move(fn),
-             std::vector<node_id>(deps.begin(), deps.end()));
-}
-
-task_graph::node_id task_graph::add(std::string name, std::function<void()> fn,
-                                    const std::vector<node_id>& deps) {
   const node_id id = nodes_.size();
   for (node_id dep : deps) {
     if (dep >= id) {
-      throw std::invalid_argument("task_graph: node \"" + name +
+      throw std::invalid_argument("task_graph: node \"" + std::string(name) +
                                   "\" depends on a not-yet-added node");
     }
   }
   node n;
-  n.name = std::move(name);
+  n.span_name.append(name_).append("/").append(name);
   n.fn = std::move(fn);
   n.dep_count = static_cast<int>(deps.size());
   nodes_.push_back(std::move(n));
@@ -140,8 +128,6 @@ task_graph::node_id task_graph::add(std::string name, std::function<void()> fn,
 }
 
 void task_graph::run(thread_pool* pool) {
-  if (ran_) throw std::logic_error("task_graph: graphs are one-shot");
-  ran_ = true;
   failed_ = false;
   skipped_ = 0;
   if (nodes_.empty()) return;
@@ -154,36 +140,32 @@ void task_graph::run(thread_pool* pool) {
 
 void task_graph::run_serial() {
   // Insertion order IS a topological order (deps precede their node by
-  // construction), so one pass suffices.  This path is the oracle the
-  // pooled schedule is locked against — keep it boring.
-  std::vector<char> ok(nodes_.size(), 0);
+  // construction), so one pass suffices; a failed or skipped node
+  // poisons its children.  This path is the oracle the pooled schedule
+  // is locked against — keep it boring.
+  poisoned_.assign(nodes_.size(), 0);
   std::exception_ptr first_error;
   std::size_t executed = 0;
   for (node_id id = 0; id < nodes_.size(); ++id) {
     node& n = nodes_[id];
-    bool runnable = true;
-    for (node_id parent = 0; parent < id && runnable; ++parent) {
-      for (node_id child : nodes_[parent].children) {
-        if (child == id && !ok[parent]) {
-          runnable = false;
-          break;
-        }
+    bool ok = false;
+    if (poisoned_[id]) {
+      ++skipped_;
+    } else {
+      trace::span sp(n.span_name, "sched");
+      sp.arg("worker", std::int64_t{-1});
+      try {
+        n.fn();
+        ok = true;
+        ++executed;
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+        failed_ = true;
+        sp.arg("failed", std::int64_t{1});
       }
     }
-    if (!runnable) {
-      ++skipped_;
-      continue;
-    }
-    trace::span sp(name_ + "/" + n.name, "sched");
-    sp.arg("worker", std::int64_t{-1});
-    try {
-      n.fn();
-      ok[id] = 1;
-      ++executed;
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-      failed_ = true;
-      sp.arg("failed", std::int64_t{1});
+    if (!ok) {
+      for (node_id child : n.children) poisoned_[child] = 1;
     }
   }
   trace::record_sched_counter("graphs");
@@ -194,13 +176,13 @@ void task_graph::run_serial() {
 
 void task_graph::run_pooled(thread_pool& pool) {
   auto s = std::make_shared<graph_run>();
-  s->graph_name = name_;
   s->pool = &pool;
   s->total = nodes_.size();
   s->nodes.reserve(nodes_.size());
   s->deps.reserve(nodes_.size());
   for (const node& n : nodes_) {
-    s->nodes.push_back(graph_run::node_view{&n.name, &n.fn, &n.children});
+    s->nodes.push_back(
+        graph_run::node_view{&n.span_name, &n.fn, &n.children});
     s->deps.push_back(n.dep_count);
   }
   s->poisoned.assign(nodes_.size(), 0);

@@ -113,10 +113,11 @@ class tracer {
 };
 
 /// RAII span: records one complete event on destruction.  A span created
-/// while the tracer is disabled is inert (no allocation beyond the name).
+/// while the tracer is disabled is inert: its name and category are
+/// copied only when the tracer is on, so it allocates nothing.
 class span {
  public:
-  explicit span(std::string name, std::string category = "dcmesh");
+  explicit span(std::string_view name, std::string_view category = "dcmesh");
   ~span();
   span(const span&) = delete;
   span& operator=(const span&) = delete;

@@ -56,15 +56,15 @@ void record_gemm_metrics(std::string_view site, std::string_view routine,
                          std::string_view mode_token, double flops,
                          double bytes, double seconds, bool promoted,
                          std::string_view tune_token) {
-  std::string key;
-  if (site.empty()) {
-    key = "untagged/";
-    key += routine;
-  } else {
-    key = site;
-  }
+  // A site is found in place and its key copied only on its first call.
+  std::string untagged;
+  if (site.empty()) site = untagged.append("untagged/").append(routine);
   std::lock_guard lock(g_mutex);
-  gemm_site_counters& counters = g_sites[key];
+  auto it = g_sites.find(site);
+  if (it == g_sites.end()) {
+    it = g_sites.emplace(std::string(site), gemm_site_counters{}).first;
+  }
+  gemm_site_counters& counters = it->second;
   ++counters.calls;
   counters.flops += flops;
   counters.bytes += bytes;

@@ -258,11 +258,11 @@ void tracer::clear() {
   }
 }
 
-span::span(std::string name, std::string category)
+span::span(std::string_view name, std::string_view category)
     : active_(tracer::instance().enabled()) {
   if (!active_) return;
-  event_.name = std::move(name);
-  event_.category = std::move(category);
+  event_.name = name;
+  event_.category = category;
   event_.ts_ns = tracer::instance().now_ns();
 }
 

@@ -109,7 +109,8 @@ void check_team_matches_serial(int mesh_n) {
                                               1, psi, occ, a, dv);
     EXPECT_TRUE(same_bits(current, current_ref))
         << "team=" << team << " " << current << " vs " << current_ref;
-    const double local = energy_local<R>(h, psi, occ, dv);
+    std::vector<double> partial(occ.size());
+    const double local = energy_local<R>(h, psi, occ, dv, partial);
     EXPECT_TRUE(same_bits(local, local_ref))
         << "team=" << team << " " << local << " vs " << local_ref;
   }

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "../blas/heap_counter.hpp"
+#include "dcmesh/blas/blas.hpp"
 #include "dcmesh/blas/verbose.hpp"
 #include "dcmesh/lfd/init.hpp"
 #include "dcmesh/lfd/potential.hpp"
 #include "dcmesh/qxmd/supercell.hpp"
+#include "dcmesh/sched/config.hpp"
+#include "dcmesh/trace/metrics.hpp"
 
 namespace dcmesh::lfd {
 namespace {
@@ -180,6 +186,107 @@ TEST(Engine, SetPotentialTakesEffect) {
   double n_el = 0.0;
   for (double f : setup.init.occupations) n_el += f;
   EXPECT_NEAR(epot1 - epot0, -n_el, 0.05 * n_el);
+}
+
+/// The step's nine CGEMMs, by shape, transposes and tag, on operands of
+/// `engine`'s size: what its call records cost without the step around
+/// them.
+class step_gemms {
+ public:
+  explicit step_gemms(const lfd_engine<float>& engine)
+      : psi0_(engine.psi().rows(), engine.psi().cols()),
+        psi_(engine.psi().rows(), engine.psi().cols()),
+        small_(engine.psi().cols(), engine.psi().cols()),
+        out_(engine.psi().cols(), engine.psi().cols()),
+        s_(engine.nocc(), engine.psi().cols() - engine.nocc()),
+        o_(engine.nocc(), engine.nocc()),
+        rmat_(engine.psi().cols() - engine.nocc(), engine.nocc()) {
+    std::copy_n(engine.psi0().data(), psi0_.size(), psi0_.data());
+    std::copy_n(engine.psi().data(), psi_.size(), psi_.data());
+    for (std::size_t j = 0; j < small_.cols(); ++j) small_(j, j) = 1.0f;
+  }
+
+  void run() {
+    using blas::transpose;
+    constexpr auto N = transpose::none, H = transpose::conj_trans;
+    const std::size_t ngrid = psi_.rows(), nocc = s_.rows();
+    const const_matrix_view<C> occ{psi_.data(), ngrid, nocc, ngrid};
+    const const_matrix_view<C> unocc{psi0_.data() + nocc * ngrid, ngrid,
+                                     s_.cols(), ngrid};
+    gemm(H, N, psi0_.view(), psi_.view(), out_.view(), "lfd/nlp_prop/overlap");
+    gemm(N, N, psi0_.view(), small_.view(), psi_.view(),
+         "lfd/nlp_prop/project");
+    gemm(H, N, small_.view(), small_.view(), out_.view(),
+         "lfd/nlp_prop/subspace");
+    gemm(H, N, psi_.view(), psi0_.view(), out_.view(),
+         "lfd/calc_energy/kinetic");
+    gemm(H, N, small_.view(), small_.view(), out_.view(),
+         "lfd/calc_energy/nonlocal");
+    gemm(N, N, small_.view(), small_.view(), out_.view(),
+         "lfd/calc_energy/band_rot");
+    gemm(H, N, occ, unocc, s_.view(), "lfd/remap_occ/overlap");
+    gemm(N, H, s_.view(), s_.view(), o_.view(), "lfd/remap_occ/moment1");
+    gemm(H, N, s_.view(), o_.view(), rmat_.view(), "lfd/remap_occ/moment2");
+  }
+
+ private:
+  using C = std::complex<float>;
+  static void gemm(blas::transpose ta, blas::transpose tb,
+                   const_matrix_view<C> a, const_matrix_view<C> b,
+                   matrix_view<C> c, const char* tag) {
+    blas::gemm<C>(ta, tb, C(1), a, b, C(0), c, tag);
+  }
+
+  matrix<C> psi0_, psi_, small_, out_, s_, o_, rmat_;
+};
+
+// A warm serial step allocates only in its nine BLAS call records: over
+// 100 steps, no more than the same 900 tagged CGEMMs issued directly.
+TEST(Engine, WarmSerialStepAllocatesOnlyInCallRecords) {
+  sched::configure(sched::sched_mode::serial);
+  sched::set_thread_count(3);
+  const auto setup = make_setup(0.2);
+  auto engine = make_engine<float>(setup);
+  step_gemms direct(engine);
+  // One unmeasured round of each warms every cache and grows the call
+  // log's index once; both measured loops then start from an empty log.
+  constexpr int kSteps = 100;
+  for (int i = 0; i < kSteps; ++i) {
+    (void)engine.qd_step();
+    direct.run();
+  }
+  blas::clear_call_log();
+  std::uint64_t before = test::heap_allocations();
+  for (int i = 0; i < kSteps; ++i) (void)engine.qd_step();
+  const std::uint64_t in_steps = test::heap_allocations() - before;
+  blas::clear_call_log();
+  before = test::heap_allocations();
+  for (int i = 0; i < kSteps; ++i) direct.run();
+  const std::uint64_t in_gemms = test::heap_allocations() - before;
+  EXPECT_LE(in_steps, in_gemms);
+  sched::set_thread_count(0);
+  sched::reset_for_testing();
+}
+
+// Each QD step runs the engine's step graph exactly once, serial or
+// pooled (perfbench's qd_scaled times steps by this counter).
+TEST(Engine, EachStepRunsTheStepGraphOnce) {
+  const auto setup = make_setup(0.2);
+  for (const bool pooled : {false, true}) {
+    if (pooled) {
+      sched::configure(sched::sched_mode::pool, 3);
+    } else {
+      sched::configure(sched::sched_mode::serial);
+    }
+    auto engine = make_engine<float>(setup);
+    for (int i = 0; i < 5; ++i) {
+      const std::uint64_t before = trace::sched_counter("graphs");
+      (void)engine.qd_step();
+      EXPECT_EQ(trace::sched_counter("graphs") - before, 1u)
+          << (pooled ? "pool:3" : "serial") << " step " << i;
+    }
+  }
+  sched::reset_for_testing();
 }
 
 }  // namespace

@@ -181,7 +181,8 @@ void renormalize_matches_inline() {
     auto want = team_sized_state<R>();
     auto got = team_sized_state<R>();
     const double want_drift = inline_renormalize<R>(want, dv);
-    const double got_drift = nlp_renormalize<R>(got, dv);
+    std::vector<double> drift(got.cols());
+    const double got_drift = nlp_renormalize<R>(got, dv, drift);
     EXPECT_EQ(std::memcmp(&want_drift, &got_drift, sizeof(double)), 0)
         << threads << " threads";
     EXPECT_TRUE(std::isfinite(got_drift)) << threads << " threads";
@@ -202,11 +203,12 @@ TEST(NlpProp, RenormalizeOnTeamMatchesInline) {
 // allocation on a serial or a pooled team.
 TEST(NlpProp, WarmRenormalizeAllocatesNothing) {
   auto psi = team_sized_state<float>();
+  std::vector<double> drift(psi.cols());
   for (const int threads : {1, 3}) {
     sched::set_thread_count(threads);
-    (void)nlp_renormalize<float>(psi, 0.07);  // warm the team and buffer
+    (void)nlp_renormalize<float>(psi, 0.07, drift);  // warm the team
     const std::uint64_t before = test::heap_allocations();
-    (void)nlp_renormalize<float>(psi, 0.07);
+    (void)nlp_renormalize<float>(psi, 0.07, drift);
     EXPECT_EQ(test::heap_allocations() - before, 0u) << threads << " threads";
   }
   sched::set_thread_count(0);

@@ -3,7 +3,7 @@
 //
 //  * DAG correctness — topological execution for diamond/fan-out shapes,
 //    exception propagation (failed graph, skipped dependents, pool
-//    immediately reusable), one-shot semantics, cycle prevention.
+//    immediately reusable), reruns from a clean state, cycle prevention.
 //  * Pool lifecycle — one pool reused across 100 step graphs with zero
 //    thread churn (the worker-id set never grows past worker_count).
 //  * Work-stealing stress — thousands of tiny unbalanced tasks across
@@ -225,11 +225,21 @@ TEST(TaskGraph, DependencyOnUnknownNodeThrows) {
                std::invalid_argument);
 }
 
-TEST(TaskGraph, RunningTwiceThrows) {
-  task_graph g;
-  g.add("only", [] {});
-  g.run(nullptr);
-  EXPECT_THROW(g.run(nullptr), std::logic_error);
+TEST(TaskGraph, RerunRunsEveryNodeAgainOnEitherExecutor) {
+  // A graph built once runs any number of times, on either executor.
+  thread_pool pool(3);
+  task_graph g("rerun");
+  std::atomic<int> clock{0};
+  int stamp_a = -1, stamp_b = -1;
+  const auto a = g.add("a", [&] { stamp_a = clock.fetch_add(1); });
+  g.add("b", [&] { stamp_b = clock.fetch_add(1); }, {a});
+  for (int run = 0; run < 6; ++run) {
+    g.run(run % 2 == 0 ? nullptr : &pool);
+    EXPECT_FALSE(g.failed());
+    EXPECT_EQ(g.skipped(), 0u);
+    EXPECT_EQ(stamp_a, 2 * run) << "run " << run;
+    EXPECT_EQ(stamp_b, 2 * run + 1) << "run " << run;
+  }
 }
 
 TEST(TaskGraph, ExceptionMarksFailedSkipsDependentsAndPoolSurvives) {
@@ -237,9 +247,14 @@ TEST(TaskGraph, ExceptionMarksFailedSkipsDependentsAndPoolSurvives) {
   for (const bool pooled : {false, true}) {
     task_graph g("failing");
     std::atomic<int> ran{0};
+    bool fail = true;
     const auto a = g.add("a", [&] { ran.fetch_add(1); });
-    const auto bad =
-        g.add("bad", [] { throw std::runtime_error("node failure"); }, {a});
+    const auto bad = g.add(
+        "bad",
+        [&] {
+          if (fail) throw std::runtime_error("node failure");
+        },
+        {a});
     g.add("child-of-bad", [&] { ran.fetch_add(1); }, {bad});
     g.add("grandchild", [&] { ran.fetch_add(1); },
           {static_cast<task_graph::node_id>(2)});
@@ -249,6 +264,17 @@ TEST(TaskGraph, ExceptionMarksFailedSkipsDependentsAndPoolSurvives) {
     EXPECT_TRUE(g.failed());
     EXPECT_EQ(g.skipped(), 2u) << (pooled ? "pooled" : "serial");
     EXPECT_EQ(ran.load(), 2) << (pooled ? "pooled" : "serial");
+
+    // The same graph runs again, serially and pooled, from a clean
+    // failed/skipped state.
+    fail = false;
+    for (thread_pool* again : {static_cast<thread_pool*>(nullptr), &pool}) {
+      ran = 0;
+      g.run(again);
+      EXPECT_FALSE(g.failed());
+      EXPECT_EQ(g.skipped(), 0u);
+      EXPECT_EQ(ran.load(), 4) << (again ? "pooled rerun" : "serial rerun");
+    }
   }
   // The pool took no damage: a fresh graph runs clean.
   task_graph ok("after-failure");
